@@ -1,8 +1,9 @@
 """Output-identity checks against stored references.
 
 Statistics and p-values must agree with the reference to REL_TOL relative;
-graph digests and Monte Carlo CSV text must be identical.  Each check returns
-a list of human-readable mismatches; an empty list means the output passed.
+counts, graph digests and Monte Carlo CSV text must be identical.  Each check
+returns a list of human-readable mismatches; an empty list means the output
+passed.
 """
 
 from __future__ import annotations
@@ -30,34 +31,34 @@ def result_fingerprint(result) -> dict:
     }
 
 
-def _close(a, b, rel: float) -> bool:
-    if a is None or b is None:
-        return a is None and b is None
-    if isinstance(a, int) and isinstance(b, int):
-        return a == b
-    return math.isclose(a, b, rel_tol=rel, abs_tol=0.0)
-
-
-def compare_fingerprints(got: dict, ref: dict, rel: float = REL_TOL) -> list[str]:
-    """Mismatches between two result fingerprints; ``rel=0`` demands bit identity."""
-    problems = []
-    for key in sorted(set(got) | set(ref)):
-        a, b = got.get(key), ref.get(key)
-        if isinstance(a, list) and isinstance(b, list) and len(a) == len(b):
-            ok = all(_close(u, v, rel) for u, v in zip(a, b))
-        else:
-            ok = not isinstance(a, list) and not isinstance(b, list) and _close(a, b, rel)
-        if not ok:
-            problems.append(f"{key}: got {a!r}, expected {b!r}")
-    return problems
-
-
-def compare_outputs(got, ref, rel: float = REL_TOL) -> list[str]:
-    """Mismatches between two outputs: text must be identical, and result
-    fingerprints must agree to ``rel``."""
+def compare_outputs(got, ref, rel: float = REL_TOL, where: str = "") -> list[str]:
+    """Mismatches between two outputs: texts, integers and None must be
+    identical, floats must agree to ``rel`` (``rel=0`` demands bit identity),
+    and dicts and lists are compared entry by entry."""
+    label = where or "output"
+    if isinstance(got, dict) and isinstance(ref, dict):
+        problems = []
+        for key in sorted(set(got) | set(ref)):
+            at = f"{where}.{key}" if where else key
+            if key not in got or key not in ref:
+                problems.append(f"{at}: present in only one of the outputs")
+            else:
+                problems += compare_outputs(got[key], ref[key], rel, at)
+        return problems
+    if isinstance(got, list) and isinstance(ref, list):
+        if len(got) != len(ref):
+            return [f"{label}: {len(got)} entries, expected {len(ref)}"]
+        return [p for i, (a, b) in enumerate(zip(got, ref))
+                for p in compare_outputs(a, b, rel, f"{where}[{i}]")]
+    if isinstance(got, float) and isinstance(ref, float):
+        ok = math.isclose(got, ref, rel_tol=rel, abs_tol=0.0)
+    else:
+        ok = type(got) is type(ref) and got == ref
+    if ok:
+        return []
     if isinstance(ref, str):
-        return [] if got == ref else ["output text differs"]
-    return compare_fingerprints(got, ref, rel)
+        return [f"{label}: text differs"]
+    return [f"{label}: got {got!r}, expected {ref!r}"]
 
 
 def graph_digest(out_neighbors_list) -> str:

@@ -1,6 +1,6 @@
 """gitest benchmark: end-to-end and per-layer timings at a fixed seed.
 
-    python3 perfbench/run.py --workload large_test --seed 1 --seconds 52 --trace 0
+    python3 perfbench/run.py --workload large_test --seed 1 --seconds 56 --trace 0
 
 Runs from the root of a source checkout and imports the package from
 ``src/``.  Workloads (see workloads.py) are closed loops: one process, one
@@ -8,8 +8,9 @@ client, library calls back to back with ``threads=1`` and BLAS pinned to one
 thread.
 
 ``--trace 0`` times the workload's call for ``--seconds`` and reports the
-end-to-end metrics.  ``--trace 1`` replays the pipeline once, layer by layer,
-and reports the per-layer metrics.  Every output is checked: against the
+end-to-end metrics.  ``--trace 1`` runs the workload's call once more with a
+span around every call between the library's layers (see layers.py) and
+reports the per-layer metrics.  Every output is checked: against the
 stored references when the seed has them, by invariants otherwise.  The last
 stdout line is one JSON object with the keys ``correct``, ``attempted``,
 ``failed`` and ``metrics``; the line before it holds the run's details.  The

@@ -19,38 +19,52 @@ from gitest.scores import ScoreConfig
 from gitest.simulate import SettingSpec
 
 import checks
-from replay import Replay
+from layers import patched
 
 DEFAULT_CFG = ScoreConfig()
 KMST_CFG = ScoreConfig(scheme="graph_rank", graph_family="kmst")
 
 LARGE_SETTING, LARGE_N, LARGE_P = "motivating", 1000, 50
-PERM_SETTING, PERM_N, PERM_P, PERM_N_PERM = "s1_1", 300, 100, 3000
+LARGE_INPUTS = 4
 MC_N, MC_P, MC_REPS, MC_LEVEL = 100, 100, 12, 0.05
 MC_RUNS = tuple(
     (sid, DEFAULT_CFG) for sid in ("motivating", "s1_1", "s2_1", "s3_1", "s4_1", "s5_1")
 ) + (("s5_1", KMST_CFG),)
 
-#: rows of the first sample used by the invariant checks
+#: rows of the first sample used by the invariant checks and the probes
 PROBE_ROWS = 200
 PROBE_N_PERM = 50
+
+#: spans every traced run of the default configuration records (see layers.py)
+ROBUST_RANK_LAYERS = frozenset({
+    "inference.quadruple_from_samples", "scores.build_scores", "graphs.pairwise_distances",
+    "graphs.robust_graph.nearest", "graphs.robust_graph.farthest", "graphs.knn_graph",
+    "graphs.neighbor_rank_rows", "scores.robust_rank_scores", "matrixcore.symmetrize",
+    "moments.QuadrupleInputs", "inference.git_test", "moments.null_moments",
+    "matrixcore.cross_summarize", "moments.t_stats", "simulate.generate",
+})
 
 
 @dataclass(frozen=True)
 class Workload:
     name: str
     tests_per_op: int
-    make: Callable[[int], Any]          # seed -> inputs
+    inputs: int                         # distinct inputs a timed run takes in turn
+    make: Callable[[int], Any]          # seed -> inputs of one op
     op: Callable[[Any], Any]            # inputs -> output; this call is timed
     fingerprint: Callable[[Any], Any]   # output -> what must repeat exactly
     first_sample: Callable[[Any], simulate.PairedSample]
-    replay: Callable[[Replay, Any], Any]  # traced mirror of ``op``
-    trace_n_perm: int                   # permutations in the traced permutation probe
+    layers: frozenset[str]              # spans a traced make + op must record
+
+
+def input_seed(seed: int, j: int) -> int:
+    """Seed of a run's input ``j``: the run's own seed for the first input,
+    the one the traced run takes."""
+    return seed if j == 0 else derive_seed(seed, j)
 
 
 def _large_make(seed):
-    return {"seed": seed, "sample": simulate.generate(
-        SettingSpec(LARGE_SETTING, LARGE_N, LARGE_P, seed=seed))}
+    return {"sample": simulate.generate(SettingSpec(LARGE_SETTING, LARGE_N, LARGE_P, seed=seed))}
 
 
 def _large_op(inp):
@@ -58,43 +72,31 @@ def _large_op(inp):
     return inference.run_test(s.x, s.y)
 
 
-def _perm_make(seed):
-    return {"seed": seed, "sample": simulate.generate(
-        SettingSpec(PERM_SETTING, PERM_N, PERM_P, seed=seed))}
-
-
-def _perm_op(inp):
-    s = inp["sample"]
-    return inference.run_test(s.x, s.y, method="permutation", n_perm=PERM_N_PERM,
-                              seed=inp["seed"])
-
-
-def _large_replay(rp, inp):
-    s = inp["sample"]
-    return rp.run_test(s.x, s.y, DEFAULT_CFG)
-
-
-def _perm_replay(rp, inp):
-    s = inp["sample"]
-    return rp.run_test(s.x, s.y, DEFAULT_CFG, method="permutation", n_perm=PERM_N_PERM,
-                       seed=inp["seed"])
-
-
-def _mc_specs(seed: int):
-    return [(SettingSpec(sid, MC_N, MC_P, seed=seed), cfg) for sid, cfg in MC_RUNS]
-
-
 def _mc_make(seed):
-    return {"seed": seed, "specs": _mc_specs(seed)}
+    return {"specs": [(SettingSpec(sid, MC_N, MC_P, seed=seed), cfg) for sid, cfg in MC_RUNS]}
 
 
 def _mc_op(inp):
-    return [simulate.estimate_power(spec, cfg, reps=MC_REPS, level=MC_LEVEL)
-            for spec, cfg in inp["specs"]]
+    """The power estimates, and the GitResult of every replication in order."""
+    reps = []
+
+    def capture(git_test):
+        def captured(*args, **kwargs):
+            result = git_test(*args, **kwargs)
+            reps.append(result)
+            return result
+        return captured
+
+    with patched(simulate, "git_test", capture):
+        estimates = [simulate.estimate_power(spec, cfg, reps=MC_REPS, level=MC_LEVEL)
+                     for spec, cfg in inp["specs"]]
+    return estimates, reps
 
 
-def _mc_replay(rp, inp):
-    return [rp.estimate_power(spec, cfg, MC_REPS, MC_LEVEL) for spec, cfg in inp["specs"]]
+def _mc_fingerprint(out):
+    estimates, reps = out
+    return {"power_csv": simulate.power_csv(estimates),
+            "reps": [checks.result_fingerprint(r) for r in reps]}
 
 
 def _mc_first_sample(inp):
@@ -106,27 +108,22 @@ def _mc_first_sample(inp):
 WORKLOADS = {
     w.name: w for w in (
         # one large test as a user runs it: the robust-graph descent is over
-        # 90% of the time and the permutation engine does no work
+        # 90% of the time and the permutation engine does no work.  Its sweep
+        # count depends on the data, so a timed run takes LARGE_INPUTS inputs
+        # in turn and the seed-to-seed spread of the work averages out
         Workload(
-            name="large_test", tests_per_op=1, make=_large_make, op=_large_op,
+            name="large_test", tests_per_op=1, inputs=LARGE_INPUTS, make=_large_make,
+            op=_large_op,
             fingerprint=checks.result_fingerprint, first_sample=lambda inp: inp["sample"],
-            replay=_large_replay, trace_n_perm=100,
-        ),
-        # the dense per-permutation gather dominates; graph building is minor.
-        # Not in BENCHMARK.json: on a shared 2-vCPU host its run-to-run spread
-        # exceeded the bound, and the run budget cannot fit three workloads
-        # of steady length.  Run it by name.
-        Workload(
-            name="permutation", tests_per_op=1, make=_perm_make, op=_perm_op,
-            fingerprint=checks.result_fingerprint, first_sample=lambda inp: inp["sample"],
-            replay=_perm_replay, trace_n_perm=PERM_N_PERM,
+            layers=ROBUST_RANK_LAYERS | {"inference.run_test"},
         ),
         # the paper's simulation study: many small tests, where fixed per-call
         # costs count, many small descents, and the only use of kmst
         Workload(
-            name="monte_carlo", tests_per_op=MC_REPS * len(MC_RUNS), make=_mc_make,
-            op=_mc_op, fingerprint=simulate.power_csv, first_sample=_mc_first_sample,
-            replay=_mc_replay, trace_n_perm=100,
+            name="monte_carlo", tests_per_op=MC_REPS * len(MC_RUNS), inputs=1, make=_mc_make,
+            op=_mc_op, fingerprint=_mc_fingerprint, first_sample=_mc_first_sample,
+            layers=ROBUST_RANK_LAYERS | {"simulate.estimate_power", "graphs.kmst",
+                                         "scores.graph_rank_scores"},
         ),
     )
 }
@@ -150,8 +147,12 @@ def _result_invariants(res, label: str) -> list[str]:
 def output_invariants(workload: Workload, output) -> list[str]:
     """Checks on one output that need no stored reference."""
     if workload.name == "monte_carlo":
-        return [f"power {e.power!r} of {e.setting.id} outside [0, 1]"
-                for e in output if not 0.0 <= e.power <= 1.0]
+        estimates, reps = output
+        problems = [f"power {e.power!r} of {e.setting.id} outside [0, 1]"
+                    for e in estimates if not 0.0 <= e.power <= 1.0]
+        for i, res in enumerate(reps):
+            problems += _result_invariants(res, f"replication {i}")
+        return problems
     return _result_invariants(output, workload.name)
 
 
