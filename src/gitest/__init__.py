@@ -30,18 +30,17 @@ from .inference import (
     run_test,
     standard_normal_cdf,
 )
-from .matrixcore import ScoreMatrix, center, cross_summarize, score_matrix, summarize, symmetrize
+from .matrixcore import ScoreMatrix, center, cross_summarize, symmetrize
 from .moments import (
     NullMoments,
     QuadrupleInputs,
     brute_force_moments,
-    cov_t,
     diagnostics,
     expected_t,
     null_moments,
     t_stats,
 )
-from .scores import ScoreConfig, build_scores, export_csv
+from .scores import ScoreConfig, build_scores
 from .simulate import (
     PowerEstimate,
     SettingSpec,
@@ -54,11 +53,11 @@ from .simulate import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "ScoreMatrix", "score_matrix", "summarize", "cross_summarize", "center", "symmetrize",
+    "ScoreMatrix", "cross_summarize", "center", "symmetrize",
     "Digraph", "UndirectedGraph", "pairwise_distances", "knn_graph", "kmst",
     "robust_graph", "robust_objective", "dump_edges",
-    "ScoreConfig", "build_scores", "export_csv",
-    "QuadrupleInputs", "NullMoments", "t_stats", "expected_t", "cov_t",
+    "ScoreConfig", "build_scores",
+    "QuadrupleInputs", "NullMoments", "t_stats", "expected_t",
     "null_moments", "brute_force_moments", "diagnostics",
     "GitResult", "git_test", "permutation_test", "run_test",
     "chi_square_cdf", "standard_normal_cdf",

@@ -6,7 +6,7 @@ Subcommands:
     diagnose  dump moment diagnostics and Gram spectra for two CSV samples
     graph     dump a neighbor graph as a tab-separated edge list
 
-Exit codes: 0 success, 2 data error, 64 usage error.
+Exit codes: 0 success, 2 data error, 64 usage error (a bad flag value included).
 """
 
 from __future__ import annotations
@@ -20,19 +20,10 @@ import numpy as np
 
 from . import simulate as sim
 from .errors import GitestError
-from .graphs import (
-    FARTHEST,
-    NEAREST,
-    UndirectedGraph,
-    dump_edges,
-    kmst,
-    knn_graph,
-    pairwise_distances,
-    robust_graph,
-)
+from .graphs import dump_edges, pairwise_distances
 from .inference import quadruple_from_samples, run_test
-from .moments import QuadrupleInputs, diagnostics, null_moments
-from .scores import FAMILIES, SCHEMES, ScoreConfig
+from .moments import diagnostics, null_moments
+from .scores import FAMILIES, GRAPHS, SCHEMES, ScoreConfig, union_graph
 from .simulate import SETTING_IDS, SettingSpec, default_dimensions
 
 EXIT_OK = 0
@@ -51,7 +42,11 @@ class DataError(Exception):
 
 
 class UsageError(Exception):
-    """Inconsistent flags detected after parsing; maps to exit code 64."""
+    """Inconsistent flags detected after parsing; maps to exit code 64.
+
+    A plain ValueError from the library also maps to 64: the library raises
+    it only for out-of-range parameters, and GitestError for bad data.
+    """
 
 
 def read_matrix_csv(path: str, header: bool = False, delimiter: str = ",") -> np.ndarray:
@@ -94,7 +89,6 @@ def _add_score_flags(p: argparse.ArgumentParser):
     p.add_argument("--k", default="auto", help="neighbor count, or 'auto' for floor(sqrt(n))")
     p.add_argument("--lambda", dest="lam", type=float, default=0.3,
                    help="hub penalty of the robust graphs")
-    p.add_argument("--symmetrize", action=argparse.BooleanOptionalAction, default=True)
 
 
 def _add_io_flags(p: argparse.ArgumentParser):
@@ -102,15 +96,18 @@ def _add_io_flags(p: argparse.ArgumentParser):
     p.add_argument("--delimiter", default=",")
 
 
+def _parse_k(k: str) -> int | str:
+    if k == "auto":
+        return k
+    try:
+        return int(k)
+    except ValueError:
+        raise UsageError(f"--k must be an integer or 'auto', got {k!r}") from None
+
+
 def _score_config(args) -> ScoreConfig:
-    k = args.k
-    if k != "auto":
-        try:
-            k = int(k)
-        except ValueError:
-            raise DataError(f"--k must be an integer or 'auto', got {k!r}") from None
-    return ScoreConfig(scheme=args.scheme, graph_family=args.graph, k=k,
-                       lam=args.lam, symmetrize=args.symmetrize)
+    return ScoreConfig(scheme=args.scheme, graph_family=args.graph, k=_parse_k(args.k),
+                       lam=args.lam)
 
 
 def _threads(args) -> int:
@@ -226,8 +223,6 @@ def cmd_diagnose(args) -> int:
     x, y = _load_pair(args)
     cfg = _score_config(args)
     q = quadruple_from_samples(x, y, cfg)
-    if args.debug_identical_scores:
-        q = QuadrupleInputs(sx=q.sx, dx=q.sx, sy=q.sy, dy=q.sy)
     report = diagnostics(q).to_json_dict()
     moments = null_moments(q)
     report["sigma_rank"] = moments.rank
@@ -239,18 +234,8 @@ def cmd_diagnose(args) -> int:
 def cmd_graph(args) -> int:
     z = read_matrix_csv(args.x, header=args.header, delimiter=args.delimiter)
     D = pairwise_distances(z)
-    n = z.shape[0]
-    k = int(np.floor(np.sqrt(n))) if args.k == "auto" else int(args.k)
-    family = args.graph
-    if family in ("knn", "kfp"):
-        G = knn_graph(D, k, NEAREST if family == "knn" else FARTHEST)
-    elif family in ("kmst", "kmaxst"):
-        layers = kmst(D, k, "min" if family == "kmst" else "max")
-        edges = [e for layer in layers for e in layer.edges]
-        G = UndirectedGraph(n, tuple(edges))
-    else:
-        G = robust_graph(D, k, args.lam, NEAREST if family == "robust_knn" else FARTHEST)
-    sys.stdout.write(dump_edges(G, D))
+    k = ScoreConfig(k=_parse_k(args.k), lam=args.lam).resolve_k(z.shape[0])
+    sys.stdout.write(dump_edges(union_graph(GRAPHS[args.graph](D, k, args.lam)), D))
     return EXIT_OK
 
 
@@ -299,8 +284,6 @@ def build_parser() -> _Parser:
     p_diag.add_argument("--y", required=True)
     _add_score_flags(p_diag)
     _add_io_flags(p_diag)
-    p_diag.add_argument("--debug-identical-scores", action="store_true",
-                        help=argparse.SUPPRESS)
     p_diag.set_defaults(func=cmd_diagnose)
 
     p_graph = sub.add_parser("graph", help="dump a neighbor graph as an edge list")
@@ -319,12 +302,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except UsageError as exc:
-        print(f"gitest: error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except (DataError, GitestError) as exc:
         print(f"gitest: error: {exc}", file=sys.stderr)
         return EXIT_DATA
+    except (UsageError, ValueError) as exc:
+        print(f"gitest: error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

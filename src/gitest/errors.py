@@ -2,7 +2,11 @@
 
 
 class GitestError(ValueError):
-    """Base class for all errors raised by this package."""
+    """Base class for the errors this package raises about its data.
+
+    A parameter out of its range raises a plain ValueError instead, which
+    the command line reports as a usage error.
+    """
 
 
 class StructuralError(GitestError):

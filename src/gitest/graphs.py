@@ -37,13 +37,12 @@ class Digraph:
             raise StructuralError(f"out_neighbors shape {nb.shape} != ({self.n}, {self.k})")
         if not 1 <= self.k <= self.n - 1:
             raise StructuralError(f"k={self.k} out of range for n={self.n}")
-        for i in range(self.n):
-            row = nb[i]
-            if len(np.unique(row)) != self.k or np.any(row == i):
-                raise StructuralError(f"node {i} has an invalid neighbor set")
+        nb = np.sort(nb, axis=1)
+        bad = (nb[:, 1:] == nb[:, :-1]).any(axis=1) | (nb == np.arange(self.n)[:, None]).any(axis=1)
+        if bad.any():
+            raise StructuralError(f"node {int(np.argmax(bad))} has an invalid neighbor set")
         if nb.min() < 0 or nb.max() >= self.n:
             raise StructuralError("neighbor index out of range")
-        nb = np.sort(nb, axis=1)
         nb.setflags(write=False)
         object.__setattr__(self, "out_neighbors", nb)
 
@@ -72,10 +71,8 @@ class UndirectedGraph:
         object.__setattr__(self, "edges", tuple(sorted(seen)))
 
 
-def pairwise_distances(Z, metric: str = "euclidean") -> np.ndarray:
+def pairwise_distances(Z) -> np.ndarray:
     """Symmetric Euclidean distance matrix of the rows of ``Z`` (n x p)."""
-    if metric != "euclidean":
-        raise ValueError(f"unsupported metric {metric!r}")
     Z = np.asarray(Z, dtype=np.float64)
     if Z.ndim != 2:
         raise StructuralError(f"data must be 2-D (observations x features), got {Z.ndim}-D")
@@ -199,13 +196,11 @@ def neighbor_rank_rows(D: np.ndarray, direction: str) -> np.ndarray:
     return ranks
 
 
-def robust_objective(D, G: Digraph, lam: float, direction: str = NEAREST,
-                     degree_convention: str = "in") -> float:
-    """Total neighbor rank plus ``lam`` times the sum of squared degrees.
+def robust_objective(D, G: Digraph, lam: float, direction: str = NEAREST) -> float:
+    """Total neighbor rank plus ``lam`` times the sum of squared in-degrees.
 
-    ``degree_convention`` chooses between in-degree and total degree in the
-    penalty; out-degree is constant k, so both conventions differ by a fixed
-    offset and share their minimizers.
+    Penalizing total degree instead would add a constant, because every
+    out-degree is k, and would not change the minimizers.
     """
     D = check_distance_matrix(D)
     if lam < 0:
@@ -214,15 +209,11 @@ def robust_objective(D, G: Digraph, lam: float, direction: str = NEAREST,
     rows = np.arange(G.n)[:, None]
     rank_sum = float(ranks[rows, G.out_neighbors].sum())
     deg = G.in_degrees().astype(np.float64)
-    if degree_convention == "total":
-        deg = deg + G.k
-    elif degree_convention != "in":
-        raise ValueError(f"unknown degree convention {degree_convention!r}")
     return rank_sum + lam * float((deg ** 2).sum())
 
 
 def robust_graph(D, k: int, lam: float, direction: str = NEAREST,
-                 max_sweeps: int = 20, degree_convention: str = "in") -> Digraph:
+                 max_sweeps: int = 20) -> Digraph:
     """Hub-penalized neighbor graph via coordinate descent over nodes.
 
     Starting from the plain k-NN (or k-FP) graph, each node re-selects its
@@ -242,8 +233,6 @@ def robust_graph(D, k: int, lam: float, direction: str = NEAREST,
         raise ValueError("lam must be nonnegative")
     if max_sweeps < 1:
         raise ValueError("max_sweeps must be positive")
-    if degree_convention not in ("in", "total"):
-        raise ValueError(f"unknown degree convention {degree_convention!r}")
     n = D.shape[0]
     init = knn_graph(D, k, direction)
     if lam == 0.0:
@@ -256,16 +245,13 @@ def robust_graph(D, k: int, lam: float, direction: str = NEAREST,
     # first three lexicographically; index only breaks measure-zero ties
     profile = np.sort(D + np.diag(np.full(n, np.inf)), axis=1)[:, : min(3, n - 1)]
     visit = np.lexsort((np.arange(n),) + tuple(profile.T[::-1]))
-    # constant per-selection offset under the total-degree convention; it
-    # cannot change any argmin but keeps reported marginals honest
-    offset = 2.0 * k * lam if degree_convention == "total" else 0.0
     for _sweep in range(max_sweeps):
         changed = False
         for i in visit:
             cur = neighbors[i]
             indeg_excl = indeg.copy()
             indeg_excl[list(cur)] -= 1
-            cost = ranks[i] + lam * (2.0 * indeg_excl + 1.0) + offset
+            cost = ranks[i] + lam * (2.0 * indeg_excl + 1.0)
             cost[i] = np.inf
             # equal costs do occur on the (rank, degree) lattice; prefer the
             # closer candidate so tie resolution stays label-invariant

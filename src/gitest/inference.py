@@ -18,7 +18,7 @@ import numpy as np
 from scipy.special import gammainc, gammaincc
 
 from .errors import DegenerateDataError, StructuralError
-from .moments import NullMoments, QuadrupleInputs, RANK_TOL, null_moments, t_stats
+from .moments import NullMoments, QuadrupleInputs, RANK_TOL, _cross_sums, null_moments, t_stats
 from .rng import substream
 from .scores import ScoreConfig, build_scores
 
@@ -136,43 +136,28 @@ def git_test(q: QuadrupleInputs, config: ScoreConfig | None = None) -> GitResult
     )
 
 
-def permutation_test(q: QuadrupleInputs, n_perm: int, seed: int,
-                     threads: int = 1, statistic: str = "quadratic") -> float:
-    """Permutation p-value with the add-one estimator.
+def permutation_test(q: QuadrupleInputs, n_perm: int, seed: int, threads: int = 1) -> float:
+    """Permutation p-value of the quadratic form with the add-one estimator.
 
     Permutation b relabels the Y sample by a uniform permutation
     (Fisher-Yates shuffle on the PCG64 substream (seed, b)); the null mean
     and covariance are held fixed because they are invariant under that
-    relabeling.  ``statistic`` selects the quadratic form or the maximum
-    absolute standardized component.  Results do not depend on ``threads``.
+    relabeling.  Results do not depend on ``threads``.
     """
     if n_perm < 1:
         raise ValueError("n_perm must be positive")
-    if statistic not in ("quadratic", "max"):
-        raise ValueError(f"unknown statistic {statistic!r}")
     moments = null_moments(q)
     eigvals, eigvecs = _whitening(moments)
     n = q.n
     dx, sx = q.dx.values, q.sx.values
     dy, sy = q.dy.values, q.sy.values
-
-    if statistic == "quadratic":
-        def stat_of(t):
-            return _quadratic_form(t, moments.mu, eigvals, eigvecs)
-    else:
-        def stat_of(t):
-            return float(np.abs(_component_z(t, moments)).max())
-
-    stat_obs = stat_of(t_stats(q))
+    stat_obs = _quadratic_form(t_stats(q), moments.mu, eigvals, eigvecs)
 
     def exceeds(b: int) -> int:
         perm = substream(seed, b).permutation(n)
         ix = np.ix_(perm, perm)
-        dyp, syp = dy[ix], sy[ix]
-        t = np.array([
-            (dx * dyp).sum(), (dx * syp).sum(), (sx * dyp).sum(), (sx * syp).sum(),
-        ])
-        return int(stat_of(t) >= stat_obs)
+        t = _cross_sums(dx, sx, dy[ix], sy[ix])
+        return int(_quadratic_form(t, moments.mu, eigvals, eigvecs) >= stat_obs)
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -216,19 +201,3 @@ def run_test(x, y, cfg: ScoreConfig = ScoreConfig(), method: str = "analytic",
     if method == "permutation":
         result = replace(result, p_analytic=None)
     return result
-
-
-def chi_square_quantile(prob: float, df: int) -> float:
-    """Inverse chi-square CDF by bisection on ``chi_square_cdf``."""
-    if not 0 <= prob < 1:
-        raise ValueError("prob must lie in [0, 1)")
-    lo, hi = 0.0, 1.0
-    while chi_square_cdf(hi, df) < prob:
-        hi *= 2.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if chi_square_cdf(mid, df) < prob:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)

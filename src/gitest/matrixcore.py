@@ -10,7 +10,7 @@ safe.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,16 +18,6 @@ from .errors import StructuralError
 
 SIMILARITY = "similarity"
 DISSIMILARITY = "dissimilarity"
-
-#: Default comparison policy: relative tolerance scaled by magnitude with an
-#: absolute floor.  Summaries are O(n^2 k^2) sums of moderate reals, so 1e-9
-#: relative is far above accumulated rounding and far below real signal.
-REL_TOL = 1e-9
-ABS_TOL = 1e-12
-
-
-def floats_close(a: float, b: float, rel: float = REL_TOL, floor: float = ABS_TOL) -> bool:
-    return abs(a - b) <= max(floor, rel * max(abs(a), abs(b)))
 
 
 @dataclass(frozen=True)
@@ -37,12 +27,10 @@ class ScoreMatrix:
     Attributes:
         values: the scores, float64, read-only.
         role: ``"similarity"`` or ``"dissimilarity"``.
-        symmetric: whether ``values`` is exactly symmetric.
     """
 
     values: np.ndarray
     role: str
-    symmetric: bool = field(default=False)
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=np.float64)
@@ -56,8 +44,6 @@ class ScoreMatrix:
             raise StructuralError("score matrix diagonal must be exactly zero")
         if self.role not in (SIMILARITY, DISSIMILARITY):
             raise StructuralError(f"unknown role {self.role!r}")
-        if self.symmetric and not np.array_equal(v, v.T):
-            raise StructuralError("matrix flagged symmetric but values differ from transpose")
         v = v.copy()
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
@@ -67,60 +53,16 @@ class ScoreMatrix:
         return self.values.shape[0]
 
 
-def score_matrix(values, role: str, symmetric: bool | None = None) -> ScoreMatrix:
-    """Build a ScoreMatrix, detecting the symmetric flag when not given."""
-    v = np.asarray(values, dtype=np.float64)
-    if symmetric is None:
-        symmetric = v.ndim == 2 and v.shape[0] == v.shape[1] and bool(np.array_equal(v, v.T))
-    return ScoreMatrix(v, role, symmetric)
-
-
-@dataclass(frozen=True)
-class SummaryBundle:
-    """Single-matrix scalar summaries.
-
-    total:            grand sum of all entries
-    row_sums:         per-row sums
-    abs_row_sums:     per-row sums of absolute entries
-    max_abs_entry:    largest absolute entry
-    max_abs_row_sum:  largest absolute row sum
-    """
-
-    total: float
-    row_sums: np.ndarray
-    abs_row_sums: np.ndarray
-    max_abs_entry: float
-    max_abs_row_sum: float
-
-
 @dataclass(frozen=True)
 class CrossBundle:
     """Two-matrix summaries: entrywise and row-sum cross products.
 
     c2:      sum_ij C_ij C'_ij
     c3:      sum_i (row sum of C)_i (row sum of C')_i
-    c2_plus: sum_ij |C_ij C'_ij|
-    c3_plus: sum_i |(abs row sum of C)_i (abs row sum of C')_i|
     """
 
     c2: float
     c3: float
-    c2_plus: float
-    c3_plus: float
-
-
-def summarize(C: ScoreMatrix) -> SummaryBundle:
-    """Compute all five scalar/vector summaries of a score matrix."""
-    v = C.values
-    row_sums = v.sum(axis=1)
-    abs_rows = np.abs(v).sum(axis=1)
-    return SummaryBundle(
-        total=float(row_sums.sum()),
-        row_sums=row_sums,
-        abs_row_sums=abs_rows,
-        max_abs_entry=float(np.abs(v).max()),
-        max_abs_row_sum=float(abs_rows.max()),
-    )
 
 
 def cross_summarize(Cs: ScoreMatrix, Cs2: ScoreMatrix) -> CrossBundle:
@@ -128,15 +70,8 @@ def cross_summarize(Cs: ScoreMatrix, Cs2: ScoreMatrix) -> CrossBundle:
     if Cs.n != Cs2.n:
         raise StructuralError(f"dimension mismatch: {Cs.n} vs {Cs2.n}")
     a, b = Cs.values, Cs2.values
-    prod = a * b
     row_a, row_b = a.sum(axis=1), b.sum(axis=1)
-    abs_row_a, abs_row_b = np.abs(a).sum(axis=1), np.abs(b).sum(axis=1)
-    return CrossBundle(
-        c2=float(prod.sum()),
-        c3=float((row_a * row_b).sum()),
-        c2_plus=float(np.abs(prod).sum()),
-        c3_plus=float(np.abs(abs_row_a * abs_row_b).sum()),
-    )
+    return CrossBundle(c2=float((a * b).sum()), c3=float((row_a * row_b).sum()))
 
 
 def center(C: ScoreMatrix) -> ScoreMatrix:
@@ -150,10 +85,10 @@ def center(C: ScoreMatrix) -> ScoreMatrix:
     shift = v.sum() / (n * (n - 1))
     v -= shift
     np.fill_diagonal(v, 0.0)
-    return ScoreMatrix(v, C.role, bool(np.array_equal(v, v.T)))
+    return ScoreMatrix(v, C.role)
 
 
 def symmetrize(C: ScoreMatrix) -> ScoreMatrix:
     """Replace the matrix by the average of itself and its transpose."""
     v = (C.values + C.values.T) / 2.0
-    return ScoreMatrix(v, C.role, True)
+    return ScoreMatrix(v, C.role)

@@ -70,11 +70,14 @@ class NullMoments:
     condition_estimate: float
 
 
+def _cross_sums(dx: np.ndarray, sx: np.ndarray, dy: np.ndarray, sy: np.ndarray) -> np.ndarray:
+    """(T1..T4) of the four score arrays, paired as in ``_PAIR_A``/``_PAIR_B``."""
+    return np.array([(dx * dy).sum(), (dx * sy).sum(), (sx * dy).sum(), (sx * sy).sum()])
+
+
 def t_stats(q: QuadrupleInputs) -> np.ndarray:
     """The observed four generalized correlations, in pairing order."""
-    return np.array([
-        float((q.a_matrix(s).values * q.b_matrix(s).values).sum()) for s in (1, 2, 3, 4)
-    ])
+    return _cross_sums(q.dx.values, q.sx.values, q.dy.values, q.sy.values)
 
 
 def expected_t(A: ScoreMatrix, B: ScoreMatrix) -> float:
@@ -95,22 +98,6 @@ def _cov_from_summaries(a1, a1p, a2, a3, b1, b1p, b2, b3, n: int) -> float:
         + 2.0 * da2 * db2 / (n * (n - 3))
         - 4.0 * da2 * db3 / (n * (n - 2) * (n - 3))
         - 4.0 * da3 * db2 / (n * (n - 2) * (n - 3))
-    )
-
-
-def cov_t(As: ScoreMatrix, As2: ScoreMatrix, Bs: ScoreMatrix, Bs2: ScoreMatrix) -> float:
-    """Exact null covariance of the sums paired as (As, Bs) and (As2, Bs2)."""
-    ns = {As.n, As2.n, Bs.n, Bs2.n}
-    if len(ns) != 1:
-        raise StructuralError(f"dimension mismatch among inputs: {sorted(ns)}")
-    n = As.n
-    if n < 4:
-        raise StructuralError(f"covariance needs n >= 4, got n={n}")
-    ca = cross_summarize(As, As2)
-    cb = cross_summarize(Bs, Bs2)
-    return _cov_from_summaries(
-        float(As.values.sum()), float(As2.values.sum()), ca.c2, ca.c3,
-        float(Bs.values.sum()), float(Bs2.values.sum()), cb.c2, cb.c3, n,
     )
 
 
@@ -179,12 +166,8 @@ def brute_force_moments(q: QuadrupleInputs) -> NullMoments:
     T = np.empty((n_perm, 4))
     for idx, pi in enumerate(itertools.permutations(range(n))):
         p = np.asarray(pi)
-        dyp = dy[np.ix_(p, p)]
-        syp = sy[np.ix_(p, p)]
-        T[idx, 0] = (dx * dyp).sum()
-        T[idx, 1] = (dx * syp).sum()
-        T[idx, 2] = (sx * dyp).sum()
-        T[idx, 3] = (sx * syp).sum()
+        ix = np.ix_(p, p)
+        T[idx] = _cross_sums(dx, sx, dy[ix], sy[ix])
     mu = T.mean(axis=0)
     dev = T - mu
     sigma = dev.T @ dev / n_perm
@@ -262,13 +245,15 @@ def diagnostics(q: QuadrupleInputs) -> DiagnosticsReport:
     for side, mats in sides.items():
         for s in range(1, 5):
             for sp in range(s, 5):
-                cb = cross_summarize(mats[s - 1], mats[sp - 1])
+                a, b = mats[s - 1], mats[sp - 1]
+                cb = cross_summarize(a, b)
                 cross[side][(s, sp)] = cb
                 key = f"{s}{sp}"
                 c2[side][key] = cb.c2
-                c2_plus[side][key] = cb.c2_plus
+                c2_plus[side][key] = float(np.abs(a.values * b.values).sum())
                 c3[side][key] = cb.c3
-                c3_plus[side][key] = cb.c3_plus
+                c3_plus[side][key] = float(
+                    (np.abs(a.values).sum(axis=1) * np.abs(b.values).sum(axis=1)).sum())
 
     degenerate = []
     for side in ("A", "B"):

@@ -23,24 +23,32 @@ from .graphs import (
     _neighbor_order,
     check_distance_matrix,
     kmst,
-    knn_graph,
     pairwise_distances,
     robust_graph,
 )
 from .matrixcore import DISSIMILARITY, SIMILARITY, ScoreMatrix, symmetrize
 
 SCHEMES = ("adjacency", "distance_weight", "kernel_weight", "graph_rank", "robust_rank")
-FAMILIES = ("knn", "kfp", "kmst", "kmaxst", "robust_knn", "robust_kfp")
 
-# each family names its (similarity graph, dissimilarity graph) pair
-_FAMILY_PAIR = {
-    "knn": ("knn", "kfp"),
-    "kfp": ("knn", "kfp"),
-    "kmst": ("kmst", "kmaxst"),
-    "kmaxst": ("kmst", "kmaxst"),
-    "robust_knn": ("robust_knn", "robust_kfp"),
-    "robust_kfp": ("robust_knn", "robust_kfp"),
+#: graph name -> builder (D, k, lam) -> edge-disjoint layers whose union is the
+#: graph.  The builders look the constructors up in this module at call time,
+#: so a wrapper set on ``scores.robust_graph`` or ``scores.kmst`` sees every call
+GRAPHS = {
+    "knn": lambda D, k, lam: neighbor_layers(D, k, NEAREST),
+    "kfp": lambda D, k, lam: neighbor_layers(D, k, FARTHEST),
+    "kmst": lambda D, k, lam: kmst(D, k, "min"),
+    "kmaxst": lambda D, k, lam: kmst(D, k, "max"),
+    "robust_knn": lambda D, k, lam: [robust_graph(D, k, lam, NEAREST)],
+    "robust_kfp": lambda D, k, lam: [robust_graph(D, k, lam, FARTHEST)],
 }
+FAMILIES = tuple(GRAPHS)
+
+# the (similarity graph, dissimilarity graph) pairs; either name selects its pair
+_PAIRS = (("knn", "kfp"), ("kmst", "kmaxst"), ("robust_knn", "robust_kfp"))
+
+
+def _pair(family: str) -> tuple[str, str]:
+    return next(p for p in _PAIRS if family in p)
 
 
 @dataclass(frozen=True)
@@ -58,14 +66,13 @@ class ScoreConfig:
     k: int | str = "auto"
     lam: float = 0.3
     kernel_bandwidths: tuple[float, float] | None = None
-    symmetrize: bool = True
 
     def __post_init__(self):
         if self.scheme not in SCHEMES:
             raise ValueError(f"unknown scheme {self.scheme!r}, expected one of {SCHEMES}")
         if self.graph_family not in FAMILIES:
             raise ValueError(f"unknown graph family {self.graph_family!r}")
-        pair = _FAMILY_PAIR[self.graph_family]
+        pair = _pair(self.graph_family)
         if self.scheme == "robust_rank" and pair[0] != "robust_knn":
             raise ValueError("robust_rank scores require the robust_knn/robust_kfp family")
         if self.scheme == "graph_rank" and pair[0] not in ("knn", "kmst"):
@@ -86,23 +93,6 @@ class ScoreConfig:
         return k
 
 
-@dataclass(frozen=True)
-class RankMatrix:
-    """Nonnegative rank weights supported on graph edges; zero diagonal."""
-
-    entries: np.ndarray
-    max_rank: int
-
-    def __post_init__(self):
-        e = np.asarray(self.entries, dtype=np.float64)
-        if np.any(np.diagonal(e) != 0) or e.min() < 0 or e.max() > self.max_rank:
-            raise StructuralError("rank entries must lie in [0, max_rank] with a zero diagonal")
-        object.__setattr__(self, "entries", e)
-
-    def to_score_matrix(self, role: str) -> ScoreMatrix:
-        return ScoreMatrix(self.entries, role, bool(np.array_equal(self.entries, self.entries.T)))
-
-
 def _directed_cells(G) -> list[tuple[int, int]]:
     """Cells a graph writes: out-edges for digraphs, both cells for undirected."""
     if isinstance(G, Digraph):
@@ -117,7 +107,7 @@ def adjacency_scores(G, role: str = SIMILARITY) -> ScoreMatrix:
     M = np.zeros((G.n, G.n))
     for i, j in _directed_cells(G):
         M[i, j] = 1.0
-    return ScoreMatrix(M, role, bool(np.array_equal(M, M.T)))
+    return ScoreMatrix(M, role)
 
 
 def distance_weight_scores(G, D, role: str) -> ScoreMatrix:
@@ -134,7 +124,7 @@ def distance_weight_scores(G, D, role: str) -> ScoreMatrix:
             M[i, j] = 1.0 / d
         else:
             M[i, j] = d
-    return ScoreMatrix(M, role, bool(np.array_equal(M, M.T)))
+    return ScoreMatrix(M, role)
 
 
 def kernel_scores(G, D, role: str, bandwidth: float) -> ScoreMatrix:
@@ -147,7 +137,7 @@ def kernel_scores(G, D, role: str, bandwidth: float) -> ScoreMatrix:
     M = np.zeros((G.n, G.n))
     for i, j in _directed_cells(G):
         M[i, j] = math.exp(sign * D[i, j] ** 2 / (2.0 * bandwidth))
-    return ScoreMatrix(M, role, bool(np.array_equal(M, M.T)))
+    return ScoreMatrix(M, role)
 
 
 def neighbor_layers(D, k: int, direction: str = NEAREST) -> list[Digraph]:
@@ -160,7 +150,7 @@ def neighbor_layers(D, k: int, direction: str = NEAREST) -> list[Digraph]:
     return [Digraph(n, 1, order[:, l : l + 1]) for l in range(k)]
 
 
-def graph_rank_scores(layers) -> RankMatrix:
+def graph_rank_scores(layers, role: str = SIMILARITY) -> ScoreMatrix:
     """Rank weights from edge-disjoint graph layers.
 
     With k layers, an edge first appearing in layer l is contained in the
@@ -180,15 +170,16 @@ def graph_rank_scores(layers) -> RankMatrix:
             if M[i, j] != 0.0:
                 raise StructuralError(f"edge ({i},{j}) appears in more than one layer")
             M[i, j] = k - l + 1
-    return RankMatrix(M, k)
+    return ScoreMatrix(M, role)
 
 
-def robust_rank_scores(G: Digraph, D, direction: str = NEAREST) -> RankMatrix:
+def robust_rank_scores(G: Digraph, D, direction: str = NEAREST) -> ScoreMatrix:
     """Within-neighborhood ranks on a robust graph's edges.
 
     For the nearest direction the closest out-neighbor of a node scores k and
     the farthest scores 1; reversed for the farthest direction.  Ties share
-    the larger rank.
+    the larger rank.  Nearest ranks are similarities, farthest ranks
+    dissimilarities.
     """
     D = check_distance_matrix(D)
     sign = 1.0 if direction == NEAREST else -1.0
@@ -197,7 +188,7 @@ def robust_rank_scores(G: Digraph, D, direction: str = NEAREST) -> RankMatrix:
         nb = G.out_neighbors[i]
         v = sign * D[i, nb]
         M[i, nb] = (v[:, None] <= v[None, :]).sum(axis=1)
-    return RankMatrix(M, G.k)
+    return ScoreMatrix(M, SIMILARITY if direction == NEAREST else DISSIMILARITY)
 
 
 def _median_sq_bandwidths(D: np.ndarray, gs, gd) -> tuple[float, float]:
@@ -212,44 +203,43 @@ def _median_sq_bandwidths(D: np.ndarray, gs, gd) -> tuple[float, float]:
     return med(gs), med(gd)
 
 
+def union_graph(layers):
+    """One graph holding the edges of all ``layers``, all of one type."""
+    if len(layers) == 1:
+        return layers[0]
+    n = layers[0].n
+    if isinstance(layers[0], Digraph):
+        return Digraph(n, sum(g.k for g in layers), np.hstack([g.out_neighbors for g in layers]))
+    return UndirectedGraph(n, tuple(e for g in layers for e in g.edges))
+
+
 def build_scores(Z, cfg: ScoreConfig = ScoreConfig()) -> tuple[ScoreMatrix, ScoreMatrix]:
-    """Full pipeline: distances, graph pair, weights, optional symmetrization.
+    """Full pipeline: distances, graph pair, weights, symmetrization.
 
     Returns the (similarity, dissimilarity) score matrices for one sample.
+    Raises DegenerateDataError when all observations coincide, because every
+    neighbor graph of such a sample is decided by index order alone.
     """
     Z = np.asarray(Z, dtype=np.float64)
     if Z.ndim != 2 or Z.shape[0] < 4:
         raise StructuralError("need a 2-D sample with at least 4 observations")
     D = pairwise_distances(Z)
-    n = Z.shape[0]
-    k = cfg.resolve_k(n)
-    sim_family, _ = _FAMILY_PAIR[cfg.graph_family]
+    if not D.any():
+        raise DegenerateDataError("all pairwise distances are zero: the sample is constant")
+    k = cfg.resolve_k(Z.shape[0])
+    sim_name, dis_name = _pair(cfg.graph_family)
+    sim_layers = GRAPHS[sim_name](D, k, cfg.lam)
+    dis_layers = GRAPHS[dis_name](D, k, cfg.lam)
 
-    if cfg.scheme == "robust_rank":
-        gs = robust_graph(D, k, cfg.lam, NEAREST)
-        gd = robust_graph(D, k, cfg.lam, FARTHEST)
-        sim = robust_rank_scores(gs, D, NEAREST).to_score_matrix(SIMILARITY)
-        dis = robust_rank_scores(gd, D, FARTHEST).to_score_matrix(DISSIMILARITY)
-    elif cfg.scheme == "graph_rank":
-        if sim_family == "knn":
-            sim_layers = neighbor_layers(D, k, NEAREST)
-            dis_layers = neighbor_layers(D, k, FARTHEST)
-        else:
-            sim_layers = kmst(D, k, "min")
-            dis_layers = kmst(D, k, "max")
-        sim = graph_rank_scores(sim_layers).to_score_matrix(SIMILARITY)
-        dis = graph_rank_scores(dis_layers).to_score_matrix(DISSIMILARITY)
+    if cfg.scheme == "graph_rank":
+        sim = graph_rank_scores(sim_layers, SIMILARITY)
+        dis = graph_rank_scores(dis_layers, DISSIMILARITY)
     else:
-        if sim_family == "knn":
-            gs = knn_graph(D, k, NEAREST)
-            gd = knn_graph(D, k, FARTHEST)
-        elif sim_family == "kmst":
-            gs = _union_graph(kmst(D, k, "min"))
-            gd = _union_graph(kmst(D, k, "max"))
-        else:
-            gs = robust_graph(D, k, cfg.lam, NEAREST)
-            gd = robust_graph(D, k, cfg.lam, FARTHEST)
-        if cfg.scheme == "adjacency":
+        gs, gd = union_graph(sim_layers), union_graph(dis_layers)
+        if cfg.scheme == "robust_rank":
+            sim = robust_rank_scores(gs, D, NEAREST)
+            dis = robust_rank_scores(gd, D, FARTHEST)
+        elif cfg.scheme == "adjacency":
             sim = adjacency_scores(gs, SIMILARITY)
             dis = adjacency_scores(gd, DISSIMILARITY)
         elif cfg.scheme == "distance_weight":
@@ -259,20 +249,4 @@ def build_scores(Z, cfg: ScoreConfig = ScoreConfig()) -> tuple[ScoreMatrix, Scor
             bw = cfg.kernel_bandwidths or _median_sq_bandwidths(D, gs, gd)
             sim = kernel_scores(gs, D, SIMILARITY, bw[0])
             dis = kernel_scores(gd, D, DISSIMILARITY, bw[1])
-
-    if cfg.symmetrize:
-        sim, dis = symmetrize(sim), symmetrize(dis)
-    return sim, dis
-
-
-def _union_graph(layers: list[UndirectedGraph]) -> UndirectedGraph:
-    edges: list[tuple[int, int]] = []
-    for layer in layers:
-        edges.extend(layer.edges)
-    return UndirectedGraph(layers[0].n, tuple(edges))
-
-
-def export_csv(M) -> str:
-    """Matrix as n lines of n comma-separated decimal values, no header."""
-    v = M.values if isinstance(M, ScoreMatrix) else np.asarray(M, dtype=np.float64)
-    return "\n".join(",".join(f"{x:.17g}" for x in row) for row in v) + "\n"
+    return symmetrize(sim), symmetrize(dis)

@@ -9,7 +9,7 @@ def random_symmetric_scores(rng, n, low=-3, high=3, role=SIMILARITY):
     M = rng.integers(low, high + 1, size=(n, n)).astype(float)
     M = np.triu(M, 1)
     M = M + M.T
-    return ScoreMatrix(M, role, True)
+    return ScoreMatrix(M, role)
 
 
 @pytest.fixture

@@ -86,6 +86,12 @@ class TestCmdTest:
         assert header.startswith("statistic,df,p_analytic")
         assert len(header.split(",")) == len(row.split(","))
 
+    def test_constant_sample_exit_2(self, tmp_path, rng, capsys):
+        px = write_csv(tmp_path / "x.csv", np.zeros((30, 4)))
+        py = write_csv(tmp_path / "y.csv", rng.standard_normal((30, 4)))
+        assert cli.main(["test", "--x", px, "--y", py]) == 2
+        assert "all pairwise distances are zero" in capsys.readouterr().err
+
     def test_threads_env_fallback(self, gaussian_pair, capsys, monkeypatch):
         px, py, _, _ = gaussian_pair
         monkeypatch.setenv("GITEST_THREADS", "2")
@@ -154,13 +160,6 @@ class TestCmdSimulate:
 
 
 class TestCmdDiagnose:
-    def test_reports_rank_deficiency_with_debug_flag(self, gaussian_pair, capsys):
-        px, py, _, _ = gaussian_pair
-        assert cli.main(["diagnose", "--x", px, "--y", py,
-                        "--debug-identical-scores"]) == 0
-        out = json.loads(capsys.readouterr().out)
-        assert out["sigma_rank"] < 4
-
     def test_normal_data_positive_gram_spectra(self, gaussian_pair, capsys):
         px, py, _, _ = gaussian_pair
         assert cli.main(["diagnose", "--x", px, "--y", py]) == 0
@@ -194,6 +193,30 @@ class TestCmdGraph:
         assert cli.main(["graph", "--x", px, "--graph", "kmst", "--k", "2"]) == 0
         lines = capsys.readouterr().out.strip().split("\n")
         assert len(lines) == 2 * 7  # two spanning layers
+
+
+@pytest.mark.parametrize("argv", [
+    ["test", "--k", "0"],
+    ["test", "--k", "40"],
+    ["test", "--lambda", "-1"],
+    ["test", "--scheme", "robust_rank", "--graph", "knn"],
+    ["graph", "--k", "abc"],
+    ["graph", "--k", "0"],
+    ["graph", "--graph", "kmst", "--k", "20"],
+    ["simulate", "--setting", "s5_1", "--n", "10", "--p", "2", "--reps", "1",
+     "--level", "2"],
+    ["simulate", "--setting", "s5_1", "--n", "10", "--p", "2", "--reps", "1",
+     "--sweep-alphas", "0.5"],
+])
+def test_invalid_flag_value_is_usage_error(argv, tmp_path, rng, capsys):
+    # samples of n=30 rows: --k 40 exceeds n - 1, and --k 20 exceeds the 15
+    # edge-disjoint spanning trees a complete graph on 30 nodes can hold
+    px = write_csv(tmp_path / "x.csv", rng.standard_normal((30, 3)))
+    py = write_csv(tmp_path / "y.csv", rng.standard_normal((30, 3)))
+    files = {"test": ["--x", px, "--y", py], "graph": ["--x", px], "simulate": []}
+    assert cli.main(argv[:1] + files[argv[0]] + argv[1:]) == 64
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("gitest: error: ")
 
 
 class TestCliSizeSmoke:

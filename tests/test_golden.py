@@ -1,0 +1,67 @@
+"""Byte-identity gates on the command line's seeded outputs.
+
+Each case runs one ``gitest`` command on fixed seeded inputs and compares the
+sha256 of its stdout with a recorded digest.  Refactors must keep every
+printed digit; a change that means to alter an output updates the digest
+deliberately.  The digests hold for the numpy/scipy builds the suite runs on
+(numpy 2.4, scipy 1.17): a different LAPACK can move the last digits of the
+eigenvalue-based fields.
+"""
+
+import hashlib
+
+import numpy as np
+import pytest
+
+from gitest import cli
+
+
+def _write(path, arr):
+    path.write_text("\n".join(",".join(f"{v:.17g}" for v in row) for row in arr) + "\n")
+    return str(path)
+
+
+@pytest.fixture(scope="module")
+def pair(tmp_path_factory):
+    d = tmp_path_factory.mktemp("golden")
+    gen = np.random.default_rng(20241)
+    x = gen.standard_normal((30, 5))
+    y = np.log(np.abs(x)) + 0.5 * gen.standard_normal((30, 5))
+    return _write(d / "x.csv", x), _write(d / "y.csv", y)
+
+
+GOLDEN = {
+    "simulate": "b5b691c36d70de4b74a0ee16645eb5a70ef5058bb25ac53336a7d02f50a301ed",
+    "test-json": "c515eb887a6f67d68faa7184129a74f788449051837b6d3f9fa7a8966e085af5",
+    "test-table": "0f17ff51b80dff812816290f7956d545532b7727d15e05670837dc0a2af7fbc3",
+    "test-csv": "c54affe983ec4bf25663f2a0439a3d36e241b33c70982e0726294d8fbda39438",
+    "diagnose": "2ab8293a1da7aa0acccb411b5802b884d911d56def929853eadb55f7eba878cc",
+    "graph-knn": "c459ddef31febc4f41e6f8fbb169777f7524f95c847f5f78f6dedb94a7e54e2c",
+    "graph-kfp": "ecfab0d5febab026ab3b9fb09412d4e5c1781030cc3ca03e1fe76adde268fc1c",
+    "graph-kmst": "9c8c9c96d054ce3194349d68b215b876bfc394bf0196b367a79a7e7e3224b6a0",
+    "graph-kmaxst": "0ab6dcd1ea85d4d6e92ff1a8cd7a5ba87191bd4874aa06759504d85d4f752903",
+    "graph-robust_knn": "cf1b20679a626f52ea23a6766b1337783964c7a0487b5ca3de8b8b2005c89a9b",
+    "graph-robust_kfp": "0af541c03fec9232ff15fbce3cb49e1d601a5be67c12db1d47279cfe89b00785",
+}
+
+
+def _argv(case, px, py):
+    if case == "simulate":
+        return ["simulate", "--setting", "s5_1", "--n", "30", "--p", "5",
+                "--reps", "5", "--seed", "7"]
+    if case.startswith("test-"):
+        return ["test", "--x", px, "--y", py, "--method", "both", "--n-perm", "99",
+                "--seed", "3", "--format", case[len("test-"):]]
+    if case == "diagnose":
+        return ["diagnose", "--x", px, "--y", py]
+    name = case[len("graph-"):]
+    # at n=30 only three maximal spanning trees are edge-disjoint
+    k = ["--k", "3"] if name in ("kmst", "kmaxst") else []
+    return ["graph", "--x", px, "--graph", name] + k
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN))
+def test_stdout_digest(case, pair, capsys):
+    assert cli.main(_argv(case, *pair)) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == GOLDEN[case]

@@ -149,15 +149,6 @@ class TestRobustObjective:
         assert robust_objective(D, G, 0.0) == 4.0  # every chosen neighbor has rank 1
         assert robust_objective(D, G, 0.3) == pytest.approx(4.0 + 0.3 * 6.0)  # in-degrees (1,2,1,0)
 
-    def test_total_degree_offset(self):
-        D = line_distances([0, 1, 3, 7])
-        G = knn_graph(D, 1, NEAREST)
-        lam = 0.7
-        base = robust_objective(D, G, lam, degree_convention="in")
-        total = robust_objective(D, G, lam, degree_convention="total")
-        n, k = 4, 1
-        assert total == pytest.approx(base + lam * (n * k**2 + 2 * k * n * k))
-
     def test_rank_rows_with_ties(self):
         D = pairwise_distances(np.array([[0.0], [1.0], [-1.0]]))
         R = neighbor_rank_rows(D, NEAREST)
@@ -201,13 +192,6 @@ class TestRobustGraph:
         G = robust_graph(D, 4, lam, NEAREST)
         plain = knn_graph(D, 4, NEAREST)
         assert robust_objective(D, G, lam) <= robust_objective(D, plain, lam) + 1e-9
-
-    def test_degree_conventions_agree(self, rng):
-        for trial in range(5):
-            D = pairwise_distances(rng.standard_normal((12, 3)))
-            a = robust_graph(D, 3, 0.4, NEAREST, degree_convention="in")
-            b = robust_graph(D, 3, 0.4, NEAREST, degree_convention="total")
-            assert np.array_equal(a.out_neighbors, b.out_neighbors)
 
     def test_rejects_negative_lambda(self):
         with pytest.raises(ValueError):

@@ -10,17 +10,15 @@ from gitest.matrixcore import (
     ScoreMatrix,
     center,
     cross_summarize,
-    floats_close,
-    score_matrix,
-    summarize,
     symmetrize,
 )
+from gitest.moments import QuadrupleInputs, diagnostics
 
-from conftest import random_symmetric_scores
+from conftest import make_quadruple, random_symmetric_scores
 
 
 def mat(entries, role=SIMILARITY):
-    return score_matrix(np.asarray(entries, dtype=float), role)
+    return ScoreMatrix(np.asarray(entries, dtype=float), role)
 
 
 ALL_ONES_3 = [[0, 1, 1], [1, 0, 1], [1, 1, 0]]
@@ -36,44 +34,10 @@ class TestScoreMatrix:
         with pytest.raises(StructuralError):
             mat([[0, 1, 2], [1, 0, 3]])
 
-    def test_rejects_wrong_symmetric_flag(self):
-        with pytest.raises(StructuralError):
-            ScoreMatrix(np.array([[0.0, 1.0], [2.0, 0.0]]), SIMILARITY, True)
-
     def test_values_frozen(self):
         m = mat(ALL_ONES_3)
         with pytest.raises(ValueError):
             m.values[0, 1] = 5.0
-
-    def test_symmetric_autodetected(self):
-        assert mat(ALL_ONES_3).symmetric
-        assert not mat([[0, 1], [0, 0]]).symmetric
-
-
-class TestSummarize:
-    def test_constant_matrix(self):
-        s = summarize(mat(ALL_ONES_3))
-        assert s.total == 6
-        assert np.array_equal(s.row_sums, [2, 2, 2])
-        assert s.max_abs_entry == 1
-        assert s.max_abs_row_sum == 2
-
-    def test_hand_matrix(self):
-        s = summarize(mat(HAND_3))
-        assert s.total == 6
-        assert np.array_equal(s.row_sums, [3, 2, 1])
-
-    def test_zero_matrix(self):
-        s = summarize(mat(np.zeros((5, 5))))
-        assert s.total == 0
-        assert s.max_abs_entry == 0
-        assert s.max_abs_row_sum == 0
-        assert np.all(s.row_sums == 0)
-
-    def test_total_equals_row_sum_total(self, rng):
-        m = random_symmetric_scores(rng, 17)
-        s = summarize(m)
-        assert floats_close(s.total, float(s.row_sums.sum()))
 
 
 class TestCrossSummarize:
@@ -85,15 +49,17 @@ class TestCrossSummarize:
 
     def test_zero_annihilates(self):
         c = cross_summarize(mat(ALL_ONES_3), mat(np.zeros((3, 3))))
-        assert c.c2 == c.c3 == c.c2_plus == c.c3_plus == 0
+        assert c.c2 == c.c3 == 0
 
     def test_signed_pattern(self):
         m = mat([[0, 1, -1], [1, 0, 0], [-1, 0, 0]])
         c = cross_summarize(m, m)
         assert c.c2 == 4
-        assert c.c2_plus == 4  # same-matrix cross product is its own absolute version
         assert c.c3 == 2  # row sums (0, 1, -1)
-        assert c.c3_plus == (2 * 2 + 1 + 1)  # abs row sums (2, 1, 1)
+        # zero-sum rows and columns: centering leaves m as it is
+        rep = diagnostics(QuadrupleInputs(sx=m, dx=m, sy=m, dy=m))
+        assert rep.c2_plus["A"]["11"] == 4  # same-matrix product is its own absolute version
+        assert rep.c3_plus["A"]["11"] == (2 * 2 + 1 + 1)  # abs row sums (2, 1, 1)
 
     def test_dimension_mismatch(self):
         with pytest.raises(StructuralError):
@@ -104,14 +70,13 @@ class TestCrossSummarize:
         b = random_symmetric_scores(rng, 9)
         ab, ba = cross_summarize(a, b), cross_summarize(b, a)
         assert ab.c2 == ba.c2 and ab.c3 == ba.c3
-        assert ab.c2_plus == ba.c2_plus and ab.c3_plus == ba.c3_plus
 
     def test_abs_bounds(self, rng):
-        a = random_symmetric_scores(rng, 11)
-        b = random_symmetric_scores(rng, 11)
-        c = cross_summarize(a, b)
-        assert abs(c.c2) <= c.c2_plus + 1e-12
-        assert abs(c.c3) <= c.c3_plus + 1e-12
+        rep = diagnostics(make_quadruple(rng, 11))
+        for side in ("A", "B"):
+            for key, c2 in rep.c2[side].items():
+                assert abs(c2) <= rep.c2_plus[side][key] + 1e-12
+                assert abs(rep.c3[side][key]) <= rep.c3_plus[side][key] + 1e-12
 
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(4, 12))
     @settings(max_examples=40, deadline=None)
@@ -143,8 +108,8 @@ class TestCenter:
 
     def test_total_becomes_zero(self, rng):
         m = random_symmetric_scores(rng, 13)
-        total = summarize(m).total
-        assert abs(summarize(center(m)).total) <= 1e-9 * max(1.0, abs(total))
+        total = m.values.sum()
+        assert abs(center(m).values.sum()) <= 1e-9 * max(1.0, abs(total))
 
     def test_diagonal_stays_zero(self, rng):
         m = random_symmetric_scores(rng, 7)
@@ -157,11 +122,9 @@ class TestSymmetrize:
         assert np.array_equal(symmetrize(m).values, m.values)
 
     def test_averages(self):
-        m = score_matrix([[0.0, 4.0], [0.0, 0.0]], SIMILARITY)
-        s = symmetrize(m)
+        s = symmetrize(mat([[0.0, 4.0], [0.0, 0.0]]))
         assert s.values[0, 1] == s.values[1, 0] == 2.0
-        assert s.symmetric
 
     def test_idempotent(self):
-        m = score_matrix([[0.0, 4.0], [1.0, 0.0]], DISSIMILARITY)
+        m = mat([[0.0, 4.0], [1.0, 0.0]], DISSIMILARITY)
         assert np.array_equal(symmetrize(symmetrize(m)).values, symmetrize(m).values)

@@ -4,11 +4,10 @@ import numpy as np
 import pytest
 
 from gitest.errors import StructuralError
-from gitest.matrixcore import DISSIMILARITY, SIMILARITY, ScoreMatrix, center, score_matrix
+from gitest.matrixcore import DISSIMILARITY, SIMILARITY, ScoreMatrix, center
 from gitest.moments import (
     QuadrupleInputs,
     brute_force_moments,
-    cov_t,
     diagnostics,
     expected_t,
     null_moments,
@@ -19,7 +18,7 @@ from conftest import make_quadruple, random_symmetric_scores
 
 
 def ones_matrix(n, role=SIMILARITY):
-    return score_matrix(1.0 - np.eye(n), role)
+    return ScoreMatrix(1.0 - np.eye(n), role)
 
 
 def quadruple_from(mats):
@@ -33,7 +32,7 @@ class TestTStats:
         assert np.array_equal(t_stats(q), [6, 6, 6, 6])
 
     def test_zero_matrix_zeroes_components(self):
-        z = score_matrix(np.zeros((3, 3)), DISSIMILARITY)
+        z = ScoreMatrix(np.zeros((3, 3)), DISSIMILARITY)
         q = quadruple_from([ones_matrix(3), z, ones_matrix(3), ones_matrix(3)])
         # dx = 0 kills T1 (dx*dy) and T2 (dx*sy)
         assert np.array_equal(t_stats(q), [0, 0, 6, 6])
@@ -42,13 +41,13 @@ class TestTStats:
         dx = np.zeros((3, 3)); dx[0, 1] = dx[1, 0] = 2.0
         dy = np.zeros((3, 3)); dy[0, 1] = dy[1, 0] = 3.0
         q = quadruple_from([
-            ones_matrix(3), score_matrix(dx, DISSIMILARITY),
-            ones_matrix(3), score_matrix(dy, DISSIMILARITY),
+            ones_matrix(3), ScoreMatrix(dx, DISSIMILARITY),
+            ones_matrix(3), ScoreMatrix(dy, DISSIMILARITY),
         ])
         assert t_stats(q)[0] == 12.0
 
     def test_requires_symmetry(self):
-        asym = score_matrix([[0.0, 1.0], [0.0, 0.0]], SIMILARITY)
+        asym = ScoreMatrix([[0.0, 1.0], [0.0, 0.0]], SIMILARITY)
         sym = ones_matrix(2)
         with pytest.raises(StructuralError, match="symmetr"):
             quadruple_from([asym, sym, sym, sym])
@@ -72,32 +71,28 @@ class TestExpectedT:
 
 
 class TestCovT:
+    """The null covariance of (T1..T4), as ``null_moments`` reports it."""
+
     def test_constant_matrices_have_zero_variance(self):
-        A = B = ones_matrix(4)
-        assert cov_t(A, A, B, B) == pytest.approx(0.0, abs=1e-12)
+        q = quadruple_from([ones_matrix(4) for _ in range(4)])
+        assert np.allclose(null_moments(q).sigma, 0.0, atol=1e-12)
 
     def test_variance_nonnegative(self, rng):
         for _ in range(20):
-            A = random_symmetric_scores(rng, 6)
-            B = random_symmetric_scores(rng, 6)
-            assert cov_t(A, A, B, B) >= -1e-10
+            q = make_quadruple(rng, 6)
+            assert np.all(np.diagonal(null_moments(q).sigma) >= -1e-10)
 
     def test_rejects_small_n(self):
-        A = B = ones_matrix(3)
         with pytest.raises(StructuralError):
-            cov_t(A, A, B, B)
+            null_moments(quadruple_from([ones_matrix(3) for _ in range(4)]))
 
     @pytest.mark.parametrize("n", [4, 5, 6])
     def test_oracle_agreement(self, n, rng):
         for _ in range(10):
             q = make_quadruple(rng, n)
-            bf = brute_force_moments(q)
-            for s in range(1, 5):
-                for sp in range(s, 5):
-                    analytic = cov_t(q.a_matrix(s), q.a_matrix(sp),
-                                     q.b_matrix(s), q.b_matrix(sp))
-                    ref = bf.sigma[s - 1, sp - 1]
-                    assert abs(analytic - ref) <= 1e-10 * max(1.0, abs(ref))
+            analytic = null_moments(q).sigma
+            ref = brute_force_moments(q).sigma
+            assert np.all(np.abs(analytic - ref) <= 1e-10 * np.maximum(1.0, np.abs(ref)))
 
 
 class TestNullMoments:
@@ -106,6 +101,13 @@ class TestNullMoments:
         q = QuadrupleInputs(sx=M, dx=M, sy=M, dy=M)
         m = null_moments(q)
         assert m.rank == 1
+
+    def test_identical_scores_rank_deficient(self, rng):
+        from gitest.inference import quadruple_from_samples
+
+        q = quadruple_from_samples(rng.standard_normal((40, 6)), rng.standard_normal((40, 6)))
+        same = QuadrupleInputs(sx=q.sx, dx=q.sx, sy=q.sy, dy=q.sy)
+        assert null_moments(same).rank < 4
 
     def test_generic_inputs_rank_four(self, rng):
         q = make_quadruple(rng, 20)
@@ -121,8 +123,8 @@ class TestNullMoments:
         ix = np.ix_(perm, perm)
         q2 = QuadrupleInputs(
             sx=q.sx, dx=q.dx,
-            sy=ScoreMatrix(q.sy.values[ix], SIMILARITY, True),
-            dy=ScoreMatrix(q.dy.values[ix], DISSIMILARITY, True),
+            sy=ScoreMatrix(q.sy.values[ix], SIMILARITY),
+            dy=ScoreMatrix(q.dy.values[ix], DISSIMILARITY),
         )
         m1, m2 = null_moments(q), null_moments(q2)
         assert np.allclose(m1.mu, m2.mu, rtol=1e-12, atol=1e-12)
@@ -133,7 +135,7 @@ class TestNullMoments:
         c = 3.5
         q2 = QuadrupleInputs(
             sx=q.sx, dx=q.dx, sy=q.sy,
-            dy=ScoreMatrix(c * q.dy.values, DISSIMILARITY, True),
+            dy=ScoreMatrix(c * q.dy.values, DISSIMILARITY),
         )
         m1, m2 = null_moments(q), null_moments(q2)
         scale = np.array([c, 1.0, c, 1.0])
@@ -188,7 +190,7 @@ class TestDiagnostics:
     def test_positive_scaling_leaves_grams_unchanged(self, rng):
         q = make_quadruple(rng, 10)
         q2 = QuadrupleInputs(
-            sx=ScoreMatrix(2.0 * q.sx.values, SIMILARITY, True),
+            sx=ScoreMatrix(2.0 * q.sx.values, SIMILARITY),
             dx=q.dx, sy=q.sy, dy=q.dy,
         )
         r1, r2 = diagnostics(q), diagnostics(q2)

@@ -21,7 +21,6 @@ from gitest.scores import (
     adjacency_scores,
     build_scores,
     distance_weight_scores,
-    export_csv,
     graph_rank_scores,
     kernel_scores,
     neighbor_layers,
@@ -38,7 +37,6 @@ class TestScoreConfig:
         assert cfg.graph_family == "robust_knn"
         assert cfg.k == "auto"
         assert cfg.lam == 0.3
-        assert cfg.symmetrize
 
     def test_auto_k_is_sqrt_n(self):
         assert ScoreConfig().resolve_k(4) == 2
@@ -143,14 +141,14 @@ class TestGraphRank:
         R = graph_rank_scores(layers)
         nearest = knn_graph(D, 1, NEAREST)
         for i in range(4):
-            assert R.entries[i, nearest.out_neighbors[i, 0]] == 3
+            assert R.values[i, nearest.out_neighbors[i, 0]] == 3
 
     def test_last_layer_gets_one_and_off_graph_zero(self):
         D = pairwise_distances(LINE)
         R = graph_rank_scores(neighbor_layers(D, 2, NEAREST))
         # k=2 on 4 points: one candidate per row stays off-graph with rank 0
-        assert sorted(np.sort(R.entries, axis=1)[:, -2:].ravel().tolist()) == [1, 1, 1, 1, 2, 2, 2, 2]
-        assert (R.entries == 0).sum() == 4 + 4  # diagonal + one unranked peer per row
+        assert sorted(np.sort(R.values, axis=1)[:, -2:].ravel().tolist()) == [1, 1, 1, 1, 2, 2, 2, 2]
+        assert (R.values == 0).sum() == 4 + 4  # diagonal + one unranked peer per row
 
     def test_overlapping_layers_rejected(self):
         D = pairwise_distances(LINE)
@@ -167,12 +165,12 @@ class TestGraphRank:
             order = sorted((j for j in range(15) if j != i), key=lambda j: (D[i, j], j))
             for pos, j in enumerate(order, start=1):
                 expected = k - pos + 1 if pos <= k else 0
-                assert R.entries[i, j] == expected
+                assert R.values[i, j] == expected
 
     def test_mst_layers_symmetric(self, rng):
         Z = rng.standard_normal((10, 3))
         R = graph_rank_scores(kmst(pairwise_distances(Z), 3, "min"))
-        assert np.array_equal(R.entries, R.entries.T)
+        assert np.array_equal(R.values, R.values.T)
 
 
 class TestRobustRank:
@@ -181,11 +179,11 @@ class TestRobustRank:
         G = knn_graph(D, 3, NEAREST)
         R = robust_rank_scores(G, D, NEAREST)
         # node 0's neighborhood is {1, 2, 3}: nearest (1) scores k, farthest (3) scores 1
-        assert R.entries[0, 1] == 3
-        assert R.entries[0, 3] == 1
+        assert R.values[0, 1] == 3
+        assert R.values[0, 3] == 1
         rev = robust_rank_scores(G, D, FARTHEST)
-        assert rev.entries[0, 1] == 1
-        assert rev.entries[0, 3] == 3
+        assert rev.values[0, 1] == 1
+        assert rev.values[0, 3] == 3
 
     def test_ties_share_top_rank(self):
         Z = np.array([[0.0], [1.0], [-1.0], [9.0]])
@@ -193,7 +191,7 @@ class TestRobustRank:
         G = knn_graph(D, 2, NEAREST)
         R = robust_rank_scores(G, D, NEAREST)
         # both members of node 0's neighborhood sit at distance 1
-        assert R.entries[0, 1] == 2 and R.entries[0, 2] == 2
+        assert R.values[0, 1] == 2 and R.values[0, 2] == 2
 
     def test_no_ties_gives_permutation(self, rng):
         Z = rng.standard_normal((20, 6))
@@ -202,7 +200,7 @@ class TestRobustRank:
         G = robust_graph(D, k, 0.3, NEAREST)
         R = robust_rank_scores(G, D, NEAREST)
         for i in range(20):
-            nonzero = sorted(R.entries[i][R.entries[i] > 0].tolist())
+            nonzero = sorted(R.values[i][R.values[i] > 0].tolist())
             assert nonzero == list(range(1, k + 1))
 
 
@@ -210,7 +208,8 @@ class TestBuildScores:
     def test_auto_k_and_symmetry(self, rng):
         Z = rng.standard_normal((16, 3))
         sim, dis = build_scores(Z, ScoreConfig())
-        assert sim.symmetric and dis.symmetric
+        assert np.array_equal(sim.values, sim.values.T)
+        assert np.array_equal(dis.values, dis.values.T)
         assert sim.role == SIMILARITY and dis.role == DISSIMILARITY
         assert sim.values.max() <= 4  # k = floor(sqrt(16))
 
@@ -223,14 +222,14 @@ class TestBuildScores:
 
     def test_lambda_zero_matches_plain_graph_ranks(self, rng):
         Z = rng.standard_normal((12, 3))
-        cfg = ScoreConfig(lam=0.0, symmetrize=False)
+        cfg = ScoreConfig(lam=0.0)
         sim, dis = build_scores(Z, cfg)
         D = pairwise_distances(Z)
         k = cfg.resolve_k(12)
-        plain_sim = robust_rank_scores(knn_graph(D, k, NEAREST), D, NEAREST)
-        plain_dis = robust_rank_scores(knn_graph(D, k, FARTHEST), D, FARTHEST)
-        assert np.array_equal(sim.values, plain_sim.entries)
-        assert np.array_equal(dis.values, plain_dis.entries)
+        plain_sim = robust_rank_scores(knn_graph(D, k, NEAREST), D, NEAREST).values
+        plain_dis = robust_rank_scores(knn_graph(D, k, FARTHEST), D, FARTHEST).values
+        assert np.array_equal(sim.values, (plain_sim + plain_sim.T) / 2.0)
+        assert np.array_equal(dis.values, (plain_dis + plain_dis.T) / 2.0)
 
     @pytest.mark.parametrize("scheme,family", [
         ("adjacency", "knn"),
@@ -246,7 +245,8 @@ class TestBuildScores:
         assert sim.n == dis.n == 14
         assert np.all(np.diagonal(sim.values) == 0)
         assert np.all(np.diagonal(dis.values) == 0)
-        assert sim.symmetric and dis.symmetric
+        assert np.array_equal(sim.values, sim.values.T)
+        assert np.array_equal(dis.values, dis.values.T)
 
     def test_rejects_tiny_samples(self, rng):
         with pytest.raises(StructuralError):
@@ -255,14 +255,3 @@ class TestBuildScores:
     def test_minimum_sample_size_works(self, rng):
         sim, dis = build_scores(rng.standard_normal((4, 2)), ScoreConfig())
         assert sim.n == dis.n == 4  # auto k resolves to 2
-
-
-class TestExportCsv:
-    def test_round_trip(self, rng):
-        Z = rng.standard_normal((6, 2))
-        sim, _ = build_scores(Z, ScoreConfig(k=2))
-        text = export_csv(sim)
-        lines = text.strip().split("\n")
-        assert len(lines) == 6
-        parsed = np.array([[float(c) for c in ln.split(",")] for ln in lines])
-        assert np.array_equal(parsed, sim.values)
