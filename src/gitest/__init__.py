@@ -36,7 +36,6 @@ from .moments import (
     QuadrupleInputs,
     brute_force_moments,
     diagnostics,
-    expected_t,
     null_moments,
     t_stats,
 )
@@ -57,7 +56,7 @@ __all__ = [
     "Digraph", "UndirectedGraph", "pairwise_distances", "knn_graph", "kmst",
     "robust_graph", "robust_objective", "dump_edges",
     "ScoreConfig", "build_scores",
-    "QuadrupleInputs", "NullMoments", "t_stats", "expected_t",
+    "QuadrupleInputs", "NullMoments", "t_stats",
     "null_moments", "brute_force_moments", "diagnostics",
     "GitResult", "git_test", "permutation_test", "run_test",
     "chi_square_cdf", "standard_normal_cdf",

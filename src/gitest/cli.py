@@ -22,7 +22,7 @@ from . import simulate as sim
 from .errors import GitestError
 from .graphs import dump_edges, pairwise_distances
 from .inference import quadruple_from_samples, run_test
-from .moments import diagnostics, null_moments
+from .moments import diagnostics
 from .scores import FAMILIES, GRAPHS, SCHEMES, ScoreConfig, union_graph
 from .simulate import SETTING_IDS, SettingSpec, default_dimensions
 
@@ -33,8 +33,7 @@ EXIT_USAGE = 64
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
-        self.print_usage(sys.stderr)
-        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+        self.exit(EXIT_USAGE, f"gitest: error: {message} (see '{self.prog} --help')\n")
 
 
 class DataError(Exception):
@@ -201,6 +200,9 @@ def cmd_simulate(args) -> int:
             sys.stdout.write(sim.tidy_csv(tidy))
         return EXIT_OK
     if args.components:
+        if args.method == "permutation":
+            raise UsageError("--components reports analytic p-values only; "
+                             "drop --method permutation")
         comp = sim.component_power(spec, reps=args.reps, level=args.level)
         tidy = sim.tidy_from_components(spec, comp, args.reps, args.level)
         if args.format == "json":
@@ -223,11 +225,7 @@ def cmd_diagnose(args) -> int:
     x, y = _load_pair(args)
     cfg = _score_config(args)
     q = quadruple_from_samples(x, y, cfg)
-    report = diagnostics(q).to_json_dict()
-    moments = null_moments(q)
-    report["sigma_rank"] = moments.rank
-    report["sigma_condition"] = moments.condition_estimate
-    print(json.dumps(report, indent=2))
+    print(json.dumps(diagnostics(q).to_json_dict(), indent=2))
     return EXIT_OK
 
 
@@ -252,7 +250,6 @@ def build_parser() -> _Parser:
     p_test.add_argument("--method", choices=("analytic", "permutation", "both"),
                         default="analytic")
     p_test.add_argument("--n-perm", type=int, default=None)
-    p_test.add_argument("--level", type=float, default=0.05)
     p_test.add_argument("--seed", type=int, default=0)
     p_test.add_argument("--format", choices=("json", "table", "csv"), default="json")
     p_test.add_argument("--threads", type=int, default=None)
@@ -267,7 +264,7 @@ def build_parser() -> _Parser:
     p_sim.add_argument("--level", type=float, default=0.05)
     p_sim.add_argument("--method", choices=("analytic", "permutation"), default="analytic")
     p_sim.add_argument("--seed", type=int, default=0)
-    p_sim.add_argument("--format", choices=("json", "table", "csv"), default="csv")
+    p_sim.add_argument("--format", choices=("json", "csv"), default="csv")
     p_sim.add_argument("--threads", type=int, default=None)
     p_sim.add_argument("--sweep-alphas", default="",
                        help="comma-separated exponents; power at k=floor(n^alpha)")

@@ -238,38 +238,36 @@ def robust_graph(D, k: int, lam: float, direction: str = NEAREST,
     if lam == 0.0:
         return init
     ranks = neighbor_rank_rows(D, direction)
-    neighbors = [set(row.tolist()) for row in init.out_neighbors]
+    neighbors = init.out_neighbors.copy()
     indeg = init.in_degrees().astype(np.int64)
     # label-invariant visit order: sort by the smallest distances to peers.
     # one column ties exactly for mutually-nearest pairs, so compare the
-    # first three lexicographically; index only breaks measure-zero ties
+    # first three lexicographically; lexsort is stable, so index only breaks
+    # measure-zero ties
     profile = np.sort(D + np.diag(np.full(n, np.inf)), axis=1)[:, : min(3, n - 1)]
-    visit = np.lexsort((np.arange(n),) + tuple(profile.T[::-1]))
+    visit = np.lexsort(tuple(profile.T[::-1]))
     for _sweep in range(max_sweeps):
         changed = False
         for i in visit:
             cur = neighbors[i]
             indeg_excl = indeg.copy()
-            indeg_excl[list(cur)] -= 1
+            indeg_excl[cur] -= 1
             cost = ranks[i] + lam * (2.0 * indeg_excl + 1.0)
             cost[i] = np.inf
             # equal costs do occur on the (rank, degree) lattice; prefer the
-            # closer candidate so tie resolution stays label-invariant
-            pick = np.lexsort((np.arange(n), ranks[i], cost))[:k]
+            # closer candidate, then the smaller index (lexsort is stable),
+            # so tie resolution stays label-invariant
+            pick = np.lexsort((ranks[i], cost))[:k]
             new_total = float(cost[pick].sum())
-            old_total = float(cost[list(cur)].sum())
+            old_total = float(cost[cur].sum())
             if new_total < old_total - 1e-9 * (1.0 + abs(old_total)):
-                new = set(pick.tolist())
-                for x in cur - new:
-                    indeg[x] -= 1
-                for x in new - cur:
-                    indeg[x] += 1
-                neighbors[i] = new
+                indeg[cur] -= 1
+                indeg[pick] += 1
+                neighbors[i] = pick
                 changed = True
         if not changed:
             break
-    out = np.array([sorted(s) for s in neighbors], dtype=np.intp)
-    return Digraph(n, k, out)
+    return Digraph(n, k, neighbors)
 
 
 def dump_edges(G, D=None) -> str:

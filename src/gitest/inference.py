@@ -18,7 +18,7 @@ import numpy as np
 from scipy.special import gammainc, gammaincc
 
 from .errors import DegenerateDataError, StructuralError
-from .moments import NullMoments, QuadrupleInputs, RANK_TOL, _cross_sums, null_moments, t_stats
+from .moments import NullMoments, QuadrupleInputs, _cross_sums, null_moments, t_stats
 from .rng import substream
 from .scores import ScoreConfig, build_scores
 
@@ -82,23 +82,9 @@ class GitResult:
         }
 
 
-def _whitening(moments: NullMoments):
-    """Kept eigenpairs of the null covariance, or an error when degenerate."""
-    sigma = moments.sigma
-    if not np.any(np.diagonal(sigma) > 0):
-        raise DegenerateDataError(
-            "all four correlations are constant under the null; the scores are degenerate"
-        )
-    eigvals, eigvecs = np.linalg.eigh((sigma + sigma.T) / 2.0)
-    kept = eigvals > RANK_TOL * float(eigvals[-1])
-    if not np.any(kept):
-        raise DegenerateDataError("null covariance has rank zero")
-    return eigvals[kept], eigvecs[:, kept]
-
-
-def _quadratic_form(t: np.ndarray, mu: np.ndarray, eigvals, eigvecs) -> float:
-    proj = eigvecs.T @ (t - mu)
-    return float((proj * proj / eigvals).sum())
+def _quadratic_form(t: np.ndarray, moments: NullMoments) -> float:
+    proj = moments.eigvecs.T @ (t - moments.mu)
+    return float((proj * proj / moments.eigvals).sum())
 
 
 def _component_z(t: np.ndarray, moments: NullMoments) -> np.ndarray:
@@ -112,9 +98,14 @@ def _component_z(t: np.ndarray, moments: NullMoments) -> np.ndarray:
 def git_test(q: QuadrupleInputs, config: ScoreConfig | None = None) -> GitResult:
     """Run the test on prebuilt score matrices; analytic p-value only."""
     moments = null_moments(q)
-    eigvals, eigvecs = _whitening(moments)
+    if not np.any(np.diagonal(moments.sigma) > 0):
+        raise DegenerateDataError(
+            "all four correlations are constant under the null; the scores are degenerate"
+        )
+    if moments.rank == 0:
+        raise DegenerateDataError("null covariance has rank zero")
     t = t_stats(q)
-    statistic = _quadratic_form(t, moments.mu, eigvals, eigvecs)
+    statistic = _quadratic_form(t, moments)
     df = moments.rank
     p_analytic = float(gammaincc(df / 2.0, statistic / 2.0))
     z = _component_z(t, moments)
@@ -146,18 +137,16 @@ def permutation_test(q: QuadrupleInputs, n_perm: int, seed: int, threads: int = 
     """
     if n_perm < 1:
         raise ValueError("n_perm must be positive")
-    moments = null_moments(q)
-    eigvals, eigvecs = _whitening(moments)
+    observed = git_test(q)
     n = q.n
     dx, sx = q.dx.values, q.sx.values
     dy, sy = q.dy.values, q.sy.values
-    stat_obs = _quadratic_form(t_stats(q), moments.mu, eigvals, eigvecs)
 
     def exceeds(b: int) -> int:
         perm = substream(seed, b).permutation(n)
         ix = np.ix_(perm, perm)
         t = _cross_sums(dx, sx, dy[ix], sy[ix])
-        return int(_quadratic_form(t, moments.mu, eigvals, eigvecs) >= stat_obs)
+        return int(_quadratic_form(t, observed.moments) >= observed.statistic)
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -62,12 +62,19 @@ class QuadrupleInputs:
 
 @dataclass(frozen=True)
 class NullMoments:
-    """Permutation-null mean vector and covariance of the four sums."""
+    """Permutation-null mean vector and covariance of the four sums.
+
+    ``eigvals`` (ascending) and the columns of ``eigvecs`` are the eigenpairs
+    of ``sigma`` above RANK_TOL times its largest eigenvalue; there are
+    ``rank`` of them, and the quadratic-form statistic whitens along them.
+    """
 
     mu: np.ndarray
     sigma: np.ndarray
     rank: int
     condition_estimate: float
+    eigvals: np.ndarray
+    eigvecs: np.ndarray
 
 
 def _cross_sums(dx: np.ndarray, sx: np.ndarray, dy: np.ndarray, sy: np.ndarray) -> np.ndarray:
@@ -78,14 +85,6 @@ def _cross_sums(dx: np.ndarray, sx: np.ndarray, dy: np.ndarray, sy: np.ndarray) 
 def t_stats(q: QuadrupleInputs) -> np.ndarray:
     """The observed four generalized correlations, in pairing order."""
     return _cross_sums(q.dx.values, q.sx.values, q.dy.values, q.sy.values)
-
-
-def expected_t(A: ScoreMatrix, B: ScoreMatrix) -> float:
-    """Null expectation of one sum: (grand sum of A)(grand sum of B) / (n(n-1))."""
-    if A.n != B.n:
-        raise StructuralError(f"dimension mismatch: {A.n} vs {B.n}")
-    n = A.n
-    return float(A.values.sum() * B.values.sum()) / (n * (n - 1))
 
 
 def _cov_from_summaries(a1, a1p, a2, a3, b1, b1p, b2, b3, n: int) -> float:
@@ -101,24 +100,23 @@ def _cov_from_summaries(a1, a1p, a2, a3, b1, b1p, b2, b3, n: int) -> float:
     )
 
 
-def _spectral_rank(sigma: np.ndarray) -> tuple[int, float, np.ndarray, np.ndarray]:
+def _spectral_rank(mu: np.ndarray, sigma: np.ndarray) -> NullMoments:
+    """Moments with the rank, condition and kept eigenpairs of ``sigma``."""
     eigvals, eigvecs = np.linalg.eigh((sigma + sigma.T) / 2.0)
     lam_max = float(eigvals[-1])
-    tol = RANK_TOL * max(lam_max, 0.0)
-    kept = eigvals > tol
+    kept = eigvals > RANK_TOL * max(lam_max, 0.0)
     rank = int(kept.sum())
-    if rank == 0:
-        cond = 0.0
-    else:
-        cond = lam_max / float(eigvals[kept][0])
-    return rank, cond, eigvals, eigvecs
+    cond = lam_max / float(eigvals[kept][0]) if rank else 0.0
+    return NullMoments(mu=mu, sigma=sigma, rank=rank, condition_estimate=cond,
+                       eigvals=eigvals[kept], eigvecs=eigvecs[:, kept])
 
 
 def null_moments(q: QuadrupleInputs) -> NullMoments:
     """Mean vector and covariance matrix of (T1..T4) under the null.
 
-    Summaries are computed once per distinct matrix pair; the ten unique
-    covariance entries are mirrored into the symmetric 4x4 matrix.
+    Summaries are computed once per unordered matrix pair, since they are
+    symmetric in their arguments; the ten unique covariance entries are
+    mirrored into the symmetric 4x4 matrix.
     """
     n = q.n
     if n < 4:
@@ -129,27 +127,23 @@ def null_moments(q: QuadrupleInputs) -> NullMoments:
     totals_b = [float(m.values.sum()) for m in B]
     mu = np.array([totals_a[s] * totals_b[s] / (n * (n - 1)) for s in range(4)])
 
-    cross_a: dict[tuple[str, str], object] = {}
-    cross_b: dict[tuple[str, str], object] = {}
-
-    def cached(cross, mats, names, s, sp):
-        key = (names[s], names[sp])
-        if key not in cross:
-            cross[key] = cross_summarize(mats[s], mats[sp])
-        return cross[key]
+    cross = {
+        frozenset(pair): cross_summarize(getattr(q, pair[0]), getattr(q, pair[1]))
+        for side in (("dx", "sx"), ("dy", "sy"))
+        for pair in itertools.combinations_with_replacement(side, 2)
+    }
 
     sigma = np.empty((4, 4))
     for s in range(4):
         for sp in range(s, 4):
-            ca = cached(cross_a, A, _PAIR_A, s, sp)
-            cb = cached(cross_b, B, _PAIR_B, s, sp)
+            ca = cross[frozenset((_PAIR_A[s], _PAIR_A[sp]))]
+            cb = cross[frozenset((_PAIR_B[s], _PAIR_B[sp]))]
             val = _cov_from_summaries(
                 totals_a[s], totals_a[sp], ca.c2, ca.c3,
                 totals_b[s], totals_b[sp], cb.c2, cb.c3, n,
             )
             sigma[s, sp] = sigma[sp, s] = val
-    rank, cond, _, _ = _spectral_rank(sigma)
-    return NullMoments(mu=mu, sigma=sigma, rank=rank, condition_estimate=cond)
+    return _spectral_rank(mu, sigma)
 
 
 def brute_force_moments(q: QuadrupleInputs) -> NullMoments:
@@ -170,9 +164,7 @@ def brute_force_moments(q: QuadrupleInputs) -> NullMoments:
         T[idx] = _cross_sums(dx, sx, dy[ix], sy[ix])
     mu = T.mean(axis=0)
     dev = T - mu
-    sigma = dev.T @ dev / n_perm
-    rank, cond, _, _ = _spectral_rank(sigma)
-    return NullMoments(mu=mu, sigma=sigma, rank=rank, condition_estimate=cond)
+    return _spectral_rank(mu, dev.T @ dev / n_perm)
 
 
 @dataclass(frozen=True)
@@ -184,6 +176,8 @@ class DiagnosticsReport:
     with their B counterparts; ``gram3`` the analogue built from row-sum
     vectors.  ``variance_regime_ratio`` compares the entrywise variance
     proxy 2 n^-2 A2 B2 against the row-sum proxy 4 n^-3 A3 B3 per statistic.
+    ``sigma_rank`` and ``sigma_condition`` are the rank and condition
+    estimate of the null covariance, as ``null_moments`` reports them.
     """
 
     n: int
@@ -199,28 +193,23 @@ class DiagnosticsReport:
     gram3_eigenvalues: np.ndarray
     variance_regime_ratio: dict
     degenerate: tuple
+    sigma_rank: int
+    sigma_condition: float
 
     def to_json_dict(self) -> dict:
+        """The fields in order; non-finite floats become None."""
         def clean(x):
+            if isinstance(x, np.ndarray):
+                return x.tolist()
+            if isinstance(x, tuple):
+                return list(x)
+            if isinstance(x, dict):
+                return {k: clean(v) for k, v in x.items()}
             if isinstance(x, float) and not math.isfinite(x):
                 return None
             return x
 
-        return {
-            "n": self.n,
-            "c0_plus": self.c0_plus,
-            "c1_plus": self.c1_plus,
-            "c2": self.c2,
-            "c2_plus": self.c2_plus,
-            "c3": self.c3,
-            "c3_plus": self.c3_plus,
-            "gram2": self.gram2.tolist(),
-            "gram3": self.gram3.tolist(),
-            "gram2_eigenvalues": self.gram2_eigenvalues.tolist(),
-            "gram3_eigenvalues": self.gram3_eigenvalues.tolist(),
-            "variance_regime_ratio": {k: clean(v) for k, v in self.variance_regime_ratio.items()},
-            "degenerate": list(self.degenerate),
-        }
+        return {f.name: clean(getattr(self, f.name)) for f in fields(self)}
 
 
 def diagnostics(q: QuadrupleInputs) -> DiagnosticsReport:
@@ -285,6 +274,7 @@ def diagnostics(q: QuadrupleInputs) -> DiagnosticsReport:
         den = 4.0 * cross["A"][(s, s)].c3 * cross["B"][(s, s)].c3 / n**3
         ratio[str(s)] = num / den if den > 0 else math.inf
 
+    moments = null_moments(q)
     return DiagnosticsReport(
         n=n,
         c0_plus=c0_plus,
@@ -299,4 +289,6 @@ def diagnostics(q: QuadrupleInputs) -> DiagnosticsReport:
         gram3_eigenvalues=np.linalg.eigvalsh(gram3),
         variance_regime_ratio=ratio,
         degenerate=tuple(degenerate),
+        sigma_rank=moments.rank,
+        sigma_condition=moments.condition_estimate,
     )

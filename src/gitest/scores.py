@@ -56,16 +56,14 @@ class ScoreConfig:
     """How to turn a sample into similarity and dissimilarity scores.
 
     k may be an explicit neighbor count or "auto" for floor(sqrt(n)).
-    ``lam`` is the hub penalty of the robust graphs.  ``kernel_bandwidths``
-    are the squared bandwidths (similarity, dissimilarity) of the kernel
-    scheme; when None a median heuristic over the graph edges is used.
+    ``lam`` is the hub penalty of the robust graphs.  The kernel scheme's
+    squared bandwidths come from a median heuristic over the graph edges.
     """
 
     scheme: str = "robust_rank"
     graph_family: str = "robust_knn"
     k: int | str = "auto"
     lam: float = 0.3
-    kernel_bandwidths: tuple[float, float] | None = None
 
     def __post_init__(self):
         if self.scheme not in SCHEMES:
@@ -81,10 +79,6 @@ class ScoreConfig:
             raise ValueError(f"k must be 'auto' or a positive integer, got {self.k!r}")
         if self.lam < 0:
             raise ValueError("lam must be nonnegative")
-        if self.kernel_bandwidths is not None:
-            s, d = self.kernel_bandwidths
-            if s <= 0 or d <= 0:
-                raise ValueError("kernel bandwidths must be positive")
 
     def resolve_k(self, n: int) -> int:
         k = int(math.isqrt(n)) if self.k == "auto" else self.k
@@ -246,7 +240,7 @@ def build_scores(Z, cfg: ScoreConfig = ScoreConfig()) -> tuple[ScoreMatrix, Scor
             sim = distance_weight_scores(gs, D, SIMILARITY)
             dis = distance_weight_scores(gd, D, DISSIMILARITY)
         else:
-            bw = cfg.kernel_bandwidths or _median_sq_bandwidths(D, gs, gd)
+            bw = _median_sq_bandwidths(D, gs, gd)
             sim = kernel_scores(gs, D, SIMILARITY, bw[0])
             dis = kernel_scores(gd, D, DISSIMILARITY, bw[1])
     return symmetrize(sim), symmetrize(dis)

@@ -1,12 +1,16 @@
 """The benchmark under perfbench/ times the library by wrapping module
-attributes listed in ``perfbench/layers.py:LAYER_CALLS``.  A rename or removal
-of one of them would only surface when the traced benchmark runs; this test
-makes it fail the ordinary suite instead."""
+attributes listed in ``perfbench/layers.py:LAYER_CALLS`` and calls some of
+them by keyword.  A rename, a removal or a changed signature would only
+surface when the traced benchmark runs; these tests make it fail the ordinary
+suite instead."""
 
 import pathlib
 import sys
 
+import numpy as np
 import pytest
+
+from gitest import graphs, inference
 
 PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -25,3 +29,18 @@ def test_every_layer_call_resolves_to_a_callable(layers):
     assert layers.LAYER_CALLS
     for module, attr, name in layers.LAYER_CALLS:
         assert callable(getattr(module, attr, None)), f"{module.__name__}.{attr} ({name})"
+
+
+
+def test_calls_the_benchmark_makes_by_keyword():
+    # perfbench binds robust_graph's arguments by name and replays it with
+    # another max_sweeps, calls permutation_test with keywords, and reads the
+    # score arrays through ScoreMatrix.values
+    rng = np.random.default_rng(0)
+    x, y = rng.standard_normal((8, 2)), rng.standard_normal((8, 2))
+    G = graphs.robust_graph(D=graphs.pairwise_distances(x), k=2, lam=0.3,
+                            direction="farthest", max_sweeps=3)
+    assert G.out_neighbors.shape == (8, 2)
+    q = inference.quadruple_from_samples(x, y)
+    assert 0 < inference.permutation_test(q, n_perm=9, seed=1, threads=1) <= 1
+    assert all(isinstance(m.values, np.ndarray) for m in (q.sx, q.dx, q.sy, q.dy))

@@ -207,6 +207,11 @@ class TestCmdGraph:
      "--level", "2"],
     ["simulate", "--setting", "s5_1", "--n", "10", "--p", "2", "--reps", "1",
      "--sweep-alphas", "0.5"],
+    ["test", "--level", "0.1"],
+    ["simulate", "--setting", "s5_1", "--n", "10", "--p", "2", "--reps", "1",
+     "--format", "table"],
+    ["simulate", "--setting", "s5_1", "--n", "10", "--p", "2", "--reps", "1",
+     "--components", "--method", "permutation"],
 ])
 def test_invalid_flag_value_is_usage_error(argv, tmp_path, rng, capsys):
     # samples of n=30 rows: --k 40 exceeds n - 1, and --k 20 exceeds the 15
@@ -214,7 +219,11 @@ def test_invalid_flag_value_is_usage_error(argv, tmp_path, rng, capsys):
     px = write_csv(tmp_path / "x.csv", rng.standard_normal((30, 3)))
     py = write_csv(tmp_path / "y.csv", rng.standard_normal((30, 3)))
     files = {"test": ["--x", px, "--y", py], "graph": ["--x", px], "simulate": []}
-    assert cli.main(argv[:1] + files[argv[0]] + argv[1:]) == 64
+    try:
+        code = cli.main(argv[:1] + files[argv[0]] + argv[1:])
+    except SystemExit as exc:  # argparse itself rejects unknown flags and choices
+        code = exc.code
+    assert code == 64
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("gitest: error: ")
 

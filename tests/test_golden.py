@@ -32,9 +32,13 @@ def pair(tmp_path_factory):
 
 GOLDEN = {
     "simulate": "b5b691c36d70de4b74a0ee16645eb5a70ef5058bb25ac53336a7d02f50a301ed",
+    "simulate-components": "3f6c2649c8dd05b9db33707571bad65b8fe38c6c41b8bd756bd4074e93ec6d95",
+    "simulate-sweep": "63225e2406229a975b99ffa339a9ad2bebd521e390ea6ea5321c45296d34af55",
     "test-json": "c515eb887a6f67d68faa7184129a74f788449051837b6d3f9fa7a8966e085af5",
     "test-table": "0f17ff51b80dff812816290f7956d545532b7727d15e05670837dc0a2af7fbc3",
     "test-csv": "c54affe983ec4bf25663f2a0439a3d36e241b33c70982e0726294d8fbda39438",
+    "test-kernel_weight-knn": "ec46d1fa4807ed8de1ced06d0c80bb1954c568706150b8288c9ef7a5f33f51c2",
+    "test-graph_rank-kmst": "1cbdf8b0b50bf589355f8fcae9c0b5d80ecb95fe33e7cd0acf062cef5e1c5d46",
     "diagnose": "2ab8293a1da7aa0acccb411b5802b884d911d56def929853eadb55f7eba878cc",
     "graph-knn": "c459ddef31febc4f41e6f8fbb169777f7524f95c847f5f78f6dedb94a7e54e2c",
     "graph-kfp": "ecfab0d5febab026ab3b9fb09412d4e5c1781030cc3ca03e1fe76adde268fc1c",
@@ -46,12 +50,22 @@ GOLDEN = {
 
 
 def _argv(case, px, py):
+    simulate = ["simulate", "--setting", "s5_1", "--n", "30", "--p", "5", "--reps", "5",
+                "--seed", "7"]
+    test = ["test", "--x", px, "--y", py, "--method", "both", "--n-perm", "99", "--seed", "3"]
     if case == "simulate":
-        return ["simulate", "--setting", "s5_1", "--n", "30", "--p", "5",
-                "--reps", "5", "--seed", "7"]
+        return simulate
+    if case == "simulate-components":
+        return simulate + ["--components"]
+    if case == "simulate-sweep":
+        return ["simulate", "--setting", "tune_i", "--n", "50", "--reps", "5", "--seed", "7",
+                "--sweep-alphas", "0.3,0.6"]
+    if case == "test-kernel_weight-knn":
+        return test + ["--scheme", "kernel_weight", "--graph", "knn"]
+    if case == "test-graph_rank-kmst":
+        return test + ["--scheme", "graph_rank", "--graph", "kmst", "--k", "3"]
     if case.startswith("test-"):
-        return ["test", "--x", px, "--y", py, "--method", "both", "--n-perm", "99",
-                "--seed", "3", "--format", case[len("test-"):]]
+        return test + ["--format", case[len("test-"):]]
     if case == "diagnose":
         return ["diagnose", "--x", px, "--y", py]
     name = case[len("graph-"):]

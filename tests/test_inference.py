@@ -135,6 +135,20 @@ class TestGitTest:
         direct = float(v @ np.linalg.solve(m.sigma, v))
         assert res.statistic == pytest.approx(direct, rel=1e-8)
 
+    def test_rank_deficient_matches_pseudo_inverse(self, rng):
+        # identical similarity and dissimilarity scores make the four sums
+        # equal, so the null covariance has rank one
+        from gitest.moments import RANK_TOL, null_moments, t_stats
+
+        q = quadruple_from_samples(rng.standard_normal((40, 6)), rng.standard_normal((40, 6)))
+        same = QuadrupleInputs(sx=q.sx, dx=q.sx, sy=q.sy, dy=q.sy)
+        res = git_test(same)
+        m = null_moments(same)
+        assert res.df == m.rank == 1
+        v = t_stats(same) - m.mu
+        pinv = float(v @ np.linalg.pinv(m.sigma, rcond=RANK_TOL, hermitian=True) @ v)
+        assert res.statistic == pytest.approx(pinv, rel=1e-9)
+
     def test_degenerate_inputs_rejected(self):
         ones = ScoreMatrix(1.0 - np.eye(5), SIMILARITY)
         q = QuadrupleInputs(sx=ones, dx=ones, sy=ones, dy=ones)

@@ -52,14 +52,15 @@ class TestCrossSummarize:
         assert c.c2 == c.c3 == 0
 
     def test_signed_pattern(self):
-        m = mat([[0, 1, -1], [1, 0, 0], [-1, 0, 0]])
+        # node 3 is isolated: diagnostics reports the null covariance, which needs n >= 4
+        m = mat([[0, 1, -1, 0], [1, 0, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 0]])
         c = cross_summarize(m, m)
         assert c.c2 == 4
-        assert c.c3 == 2  # row sums (0, 1, -1)
-        # zero-sum rows and columns: centering leaves m as it is
+        assert c.c3 == 2  # row sums (0, 1, -1, 0)
+        # zero grand sum: centering leaves m as it is
         rep = diagnostics(QuadrupleInputs(sx=m, dx=m, sy=m, dy=m))
         assert rep.c2_plus["A"]["11"] == 4  # same-matrix product is its own absolute version
-        assert rep.c3_plus["A"]["11"] == (2 * 2 + 1 + 1)  # abs row sums (2, 1, 1)
+        assert rep.c3_plus["A"]["11"] == (2 * 2 + 1 + 1)  # abs row sums (2, 1, 1, 0)
 
     def test_dimension_mismatch(self):
         with pytest.raises(StructuralError):

@@ -9,7 +9,6 @@ from gitest.moments import (
     QuadrupleInputs,
     brute_force_moments,
     diagnostics,
-    expected_t,
     null_moments,
     t_stats,
 )
@@ -54,20 +53,22 @@ class TestTStats:
 
 
 class TestExpectedT:
+    """The null mean of (T1..T4), as ``null_moments`` reports it."""
+
     def test_all_ones(self):
-        assert expected_t(ones_matrix(3), ones_matrix(3)) == 6.0
+        q = quadruple_from([ones_matrix(4) for _ in range(4)])
+        assert np.array_equal(null_moments(q).mu, [12.0, 12.0, 12.0, 12.0])
 
     def test_centered_input_gives_zero(self, rng):
-        A = center(random_symmetric_scores(rng, 7))
-        B = random_symmetric_scores(rng, 7)
-        assert abs(expected_t(A, B)) < 1e-9
+        A = [center(random_symmetric_scores(rng, 7, role=r)) for r in (SIMILARITY, DISSIMILARITY)]
+        B = [random_symmetric_scores(rng, 7, role=r) for r in (SIMILARITY, DISSIMILARITY)]
+        q = quadruple_from([A[0], A[1], B[0], B[1]])
+        assert np.all(np.abs(null_moments(q).mu) < 1e-9)
 
     def test_matches_enumeration_mean(self, rng):
         q = make_quadruple(rng, 4)
         bf = brute_force_moments(q)
-        for s in (1, 2, 3, 4):
-            analytic = expected_t(q.a_matrix(s), q.b_matrix(s))
-            assert analytic == pytest.approx(bf.mu[s - 1], abs=1e-10)
+        assert np.allclose(null_moments(q).mu, bf.mu, rtol=0.0, atol=1e-10)
 
 
 class TestCovT:
