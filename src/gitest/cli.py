@@ -190,6 +190,8 @@ def cmd_simulate(args) -> int:
         p=args.p if args.p is not None else p,
         seed=args.seed,
     )
+    if args.sweep_alphas and args.components:
+        raise UsageError("--sweep-alphas and --components are separate reports; pick one")
     if args.sweep_alphas:
         alphas = [float(a) for a in args.sweep_alphas.split(",")]
         rows = sim.k_sweep(spec, alphas, reps=args.reps, level=args.level, method=args.method)

@@ -219,10 +219,20 @@ def robust_graph(D, k: int, lam: float, direction: str = NEAREST,
     Starting from the plain k-NN (or k-FP) graph, each node re-selects its
     out-neighbor set to minimize its exact marginal cost,
     rank(x) + lam * (2 * indeg_excl(x) + 1), where indeg_excl is the
-    candidate's in-degree from the other nodes.  A node changes its set only
-    on strict improvement, so the objective decreases monotonically; sweeps
-    stop at convergence or ``max_sweeps``.  With lam = 0 the initial graph is
-    already optimal and is returned unchanged.
+    candidate's in-degree from the other nodes.  The k cheapest candidates
+    win, ties going to the smaller rank, then to the smaller index, so tie
+    resolution stays label-invariant.  A node changes its set only on strict
+    improvement, so the objective decreases monotonically; sweeps stop at
+    convergence or ``max_sweeps``.  With lam = 0 the initial graph is already
+    optimal and is returned unchanged.
+
+    A node prices only a prefix of its candidates in (rank, index) order.
+    Every candidate past the prefix costs at least rank + lam, the cost of an
+    in-degree of zero (floating-point + and * are monotone, so the bound holds
+    after rounding too), so once the first rank past the prefix plus lam
+    exceeds the k-th best cost inside it, the prefix holds the whole
+    selection; otherwise the prefix doubles, up to all n - 1 candidates.
+    Each node keeps its prefix length across sweeps.
 
     Nodes are visited in ascending order of their nearest-neighbor distance
     (ties by index), a label-invariant order: relabeling the observations
@@ -237,34 +247,49 @@ def robust_graph(D, k: int, lam: float, direction: str = NEAREST,
     init = knn_graph(D, k, direction)
     if lam == 0.0:
         return init
-    ranks = neighbor_rank_rows(D, direction)
-    neighbors = init.out_neighbors.copy()
-    indeg = init.in_degrees().astype(np.int64)
     # label-invariant visit order: sort by the smallest distances to peers.
     # one column ties exactly for mutually-nearest pairs, so compare the
     # first three lexicographically; lexsort is stable, so index only breaks
     # measure-zero ties
     profile = np.sort(D + np.diag(np.full(n, np.inf)), axis=1)[:, : min(3, n - 1)]
-    visit = np.lexsort(tuple(profile.T[::-1]))
+    visit = np.lexsort(tuple(profile.T[::-1])).tolist()
+    ranks = neighbor_rank_rows(D, direction)
+    neighbors = init.out_neighbors.copy()
+    cur_rank = np.take_along_axis(ranks, neighbors, axis=1)  # in neighbors' row order
+    # candidates of each node by (rank, index); the node itself sorts last
+    np.fill_diagonal(ranks, np.inf)
+    order = np.argsort(ranks, axis=1, kind="stable")
+    ordrank = np.take_along_axis(ranks, order, axis=1)
+    del ranks
+    indeg = init.in_degrees().astype(np.int64)
+    pen = lam * (2.0 * np.arange(n) + 1.0)  # marginal penalty, by indeg_excl
+    prefix = [min(2 * k, n - 1)] * n
     for _sweep in range(max_sweeps):
         changed = False
         for i in visit:
             cur = neighbors[i]
-            indeg_excl = indeg.copy()
-            indeg_excl[cur] -= 1
-            cost = ranks[i] + lam * (2.0 * indeg_excl + 1.0)
-            cost[i] = np.inf
-            # equal costs do occur on the (rank, degree) lattice; prefer the
-            # closer candidate, then the smaller index (lexsort is stable),
-            # so tie resolution stays label-invariant
-            pick = np.lexsort((ranks[i], cost))[:k]
-            new_total = float(cost[pick].sum())
-            old_total = float(cost[cur].sum())
+            ri = ordrank[i]
+            indeg[cur] -= 1  # now indeg_excl for every candidate
+            m = prefix[i]
+            while True:
+                pool = order[i, :m]
+                cost = ri[:m] + pen[indeg[pool]]
+                # stable: equal costs keep the pool's (rank, index) order
+                sel = cost.argsort(kind="stable")[:k]
+                if m == n - 1 or ri[m] + lam > cost[sel[-1]]:
+                    break
+                m = min(2 * m, n - 1)
+            prefix[i] = m
+            new_total = float(cost[sel].sum())
+            old_total = float((cur_rank[i] + pen[indeg[cur]]).sum())
             if new_total < old_total - 1e-9 * (1.0 + abs(old_total)):
-                indeg[cur] -= 1
+                pick = pool[sel]
                 indeg[pick] += 1
                 neighbors[i] = pick
+                cur_rank[i] = ri[sel]
                 changed = True
+            else:
+                indeg[cur] += 1
         if not changed:
             break
     return Digraph(n, k, neighbors)

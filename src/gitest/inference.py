@@ -135,9 +135,14 @@ def permutation_test(q: QuadrupleInputs, n_perm: int, seed: int, threads: int = 
     and covariance are held fixed because they are invariant under that
     relabeling.  Results do not depend on ``threads``.
     """
+    return _permutation_p(q, git_test(q), n_perm, seed, threads)
+
+
+def _permutation_p(q: QuadrupleInputs, observed: GitResult, n_perm: int, seed: int,
+                   threads: int) -> float:
+    """``permutation_test`` with ``observed = git_test(q)`` already computed."""
     if n_perm < 1:
         raise ValueError("n_perm must be positive")
-    observed = git_test(q)
     n = q.n
     dx, sx = q.dx.values, q.sx.values
     dy, sy = q.dy.values, q.sy.values
@@ -185,7 +190,7 @@ def run_test(x, y, cfg: ScoreConfig = ScoreConfig(), method: str = "analytic",
     q = quadruple_from_samples(x, y, cfg)
     result = git_test(q, cfg)
     if method in ("permutation", "both"):
-        p_perm = permutation_test(q, n_perm=n_perm, seed=seed, threads=threads)
+        p_perm = _permutation_p(q, result, n_perm, seed, threads)
         result = replace(result, p_permutation=p_perm)
     if method == "permutation":
         result = replace(result, p_analytic=None)

@@ -31,6 +31,20 @@ def test_every_layer_call_resolves_to_a_callable(layers):
         assert callable(getattr(module, attr, None)), f"{module.__name__}.{attr} ({name})"
 
 
+@pytest.mark.parametrize("direction", ["nearest", "farthest"])
+def test_robust_graph_calls_its_builders_through_the_module(direction, monkeypatch):
+    # the traced benchmark requires the graphs.knn_graph and
+    # graphs.neighbor_rank_rows spans inside every robust_graph call
+    calls = {"knn_graph": 0, "neighbor_rank_rows": 0}
+    for attr in calls:
+        def counted(*args, _fn=getattr(graphs, attr), _attr=attr, **kwargs):
+            calls[_attr] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(graphs, attr, counted)
+    D = graphs.pairwise_distances(np.random.default_rng(0).standard_normal((20, 3)))
+    graphs.robust_graph(D, 4, 0.3, direction)
+    assert calls == {"knn_graph": 1, "neighbor_rank_rows": 1}
+
 
 def test_calls_the_benchmark_makes_by_keyword():
     # perfbench binds robust_graph's arguments by name and replays it with

@@ -11,6 +11,7 @@ from gitest.graphs import (
     FARTHEST,
     NEAREST,
     UndirectedGraph,
+    check_distance_matrix,
     dump_edges,
     kmst,
     knn_graph,
@@ -196,6 +197,85 @@ class TestRobustGraph:
     def test_rejects_negative_lambda(self):
         with pytest.raises(ValueError):
             robust_graph(line_distances([0, 1, 3]), 1, -0.1)
+
+
+def reference_robust_graph(D, k, lam, direction=NEAREST, max_sweeps=20):
+    """The descent as first written: every visit prices all n candidates and
+    sorts them by (cost, rank, index) with a full lexsort."""
+    D = check_distance_matrix(D)
+    n = D.shape[0]
+    init = knn_graph(D, k, direction)
+    if lam == 0.0:
+        return init
+    ranks = neighbor_rank_rows(D, direction)
+    neighbors = init.out_neighbors.copy()
+    indeg = init.in_degrees().astype(np.int64)
+    # label-invariant visit order: sort by the smallest distances to peers.
+    # one column ties exactly for mutually-nearest pairs, so compare the
+    # first three lexicographically; lexsort is stable, so index only breaks
+    # measure-zero ties
+    profile = np.sort(D + np.diag(np.full(n, np.inf)), axis=1)[:, : min(3, n - 1)]
+    visit = np.lexsort(tuple(profile.T[::-1]))
+    for _sweep in range(max_sweeps):
+        changed = False
+        for i in visit:
+            cur = neighbors[i]
+            indeg_excl = indeg.copy()
+            indeg_excl[cur] -= 1
+            cost = ranks[i] + lam * (2.0 * indeg_excl + 1.0)
+            cost[i] = np.inf
+            # equal costs do occur on the (rank, degree) lattice; prefer the
+            # closer candidate, then the smaller index (lexsort is stable),
+            # so tie resolution stays label-invariant
+            pick = np.lexsort((ranks[i], cost))[:k]
+            new_total = float(cost[pick].sum())
+            old_total = float(cost[cur].sum())
+            if new_total < old_total - 1e-9 * (1.0 + abs(old_total)):
+                indeg[cur] -= 1
+                indeg[pick] += 1
+                neighbors[i] = pick
+                changed = True
+        if not changed:
+            break
+    return Digraph(n, k, neighbors)
+
+
+def oracle_data(n, kind):
+    z = np.random.default_rng(n).standard_normal((n, 4))
+    if kind == "binary":
+        return (z > 0).astype(float)
+    if kind == "rounded":
+        return np.round(z, 1)  # many tied distances
+    return z
+
+
+def assert_matches_reference(D, directions, lams, ks, sweeps):
+    for direction, lam, k, max_sweeps in itertools.product(directions, lams, ks, sweeps):
+        got = robust_graph(D, k, lam, direction, max_sweeps).out_neighbors
+        want = reference_robust_graph(D, k, lam, direction, max_sweeps).out_neighbors
+        assert np.array_equal(got, want), (direction, lam, k, max_sweeps)
+
+
+class TestRobustGraphOracle:
+    """The prefix descent returns the reference descent's graph bit for bit."""
+
+    @pytest.mark.parametrize("kind", ["gaussian", "binary", "rounded"])
+    @pytest.mark.parametrize("n", [5, 12, 50, 300])
+    def test_grid(self, n, kind):
+        D = pairwise_distances(oracle_data(n, kind))
+        ks = sorted({1, int(np.sqrt(n)), n - 1})
+        assert_matches_reference(D, (NEAREST, FARTHEST), (0.0, 0.3, 1.0, 1 / 3), ks, (1, 20))
+
+    def test_non_finite_lambda(self):
+        # every cost is inf or nan, so no prefix bound ever holds and the
+        # selection has to stop at the full candidate list
+        D = pairwise_distances(oracle_data(12, "gaussian"))
+        assert_matches_reference(D, (NEAREST, FARTHEST), (np.inf, np.nan), (1, 3), (1, 20))
+
+    @pytest.mark.slow
+    def test_n1000_gaussian(self):
+        D = pairwise_distances(oracle_data(1000, "gaussian"))
+        assert_matches_reference(D, (NEAREST, FARTHEST), (0.3,), (31,), (20,))
 
 
 class TestDumpEdges:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gitest import inference
 from gitest.errors import DegenerateDataError
 from gitest.inference import (
     chi_square_cdf,
@@ -15,7 +16,7 @@ from gitest.inference import (
     standard_normal_cdf,
 )
 from gitest.matrixcore import DISSIMILARITY, SIMILARITY, ScoreMatrix
-from gitest.moments import QuadrupleInputs
+from gitest.moments import QuadrupleInputs, null_moments
 
 from conftest import make_quadruple
 
@@ -254,6 +255,17 @@ class TestRunTest:
         both = run_test(x, y, method="both", n_perm=19, seed=1)
         assert both.p_analytic == analytic.p_analytic
         assert both.p_permutation == perm.p_permutation
+
+    def test_null_moments_computed_once(self, rng, monkeypatch):
+        calls = []
+
+        def counted(q):
+            calls.append(q)
+            return null_moments(q)
+        monkeypatch.setattr(inference, "null_moments", counted)
+        run_test(rng.standard_normal((30, 3)), rng.standard_normal((30, 3)),
+                 method="both", n_perm=5)
+        assert len(calls) == 1
 
     @given(n=st.integers(4, 40), p=st.integers(1, 6),
            value=st.floats(-1e6, 1e6, allow_nan=False))
