@@ -94,19 +94,47 @@ def check_distance_matrix(D) -> np.ndarray:
     return D
 
 
+def _neighbor_keys(D: np.ndarray, direction: str) -> np.ndarray:
+    """Per-row sort keys: distances, negated for the farthest direction; the
+    node itself is inf, so it sorts last."""
+    key = D.copy() if direction == NEAREST else -D
+    np.fill_diagonal(key, np.inf)
+    return key
+
+
+def _competition_ranks(key: np.ndarray) -> np.ndarray:
+    """Per row, 1 + the number of entries strictly smaller, as float64.
+
+    One default-kind argsort per row: tied entries share a rank, so their
+    order does not matter.  The rank of a sorted entry is 1 + the position
+    where its run of equal values starts.  ``key`` (float64) is overwritten
+    with the ranks and returned.
+    """
+    order = np.argsort(key, axis=1)
+    run = np.take_along_axis(key, order, axis=1)
+    starts = run[:, 1:] != run[:, :-1]
+    run[:, 0] = 0.0
+    np.multiply(starts, np.arange(1.0, key.shape[1]), out=run[:, 1:])
+    np.maximum.accumulate(run, axis=1, out=run)
+    run += 1.0
+    np.put_along_axis(key, order, run, axis=1)
+    return key
+
+
 def _neighbor_order(D: np.ndarray, direction: str) -> np.ndarray:
     """Per-row candidate ordering: (n, n-1) indices sorted by distance then index."""
     n = D.shape[0]
-    key = D.copy() if direction == NEAREST else -D
-    np.fill_diagonal(key, np.inf)
-    order = np.argsort(key, axis=1, kind="stable")  # stable: ties -> smaller index
+    order = np.argsort(_neighbor_keys(D, direction), axis=1, kind="stable")  # ties -> smaller index
     return order[:, : n - 1]
 
 
 def knn_graph(D, k: int, direction: str = NEAREST) -> Digraph:
     """Connect each node to its k nearest (or farthest) peers.
 
-    Ties are broken toward the smaller index.
+    Ties are broken toward the smaller index.  No row is sorted: a partition
+    finds each row's k-th smallest key, every key strictly below it is taken,
+    and the remaining slots go to the keys equal to it in index order, which
+    is exactly the first k of the (key, index) order.
     """
     D = check_distance_matrix(D)
     n = D.shape[0]
@@ -114,8 +142,14 @@ def knn_graph(D, k: int, direction: str = NEAREST) -> Digraph:
         raise ValueError(f"unknown direction {direction!r}")
     if not 1 <= k <= n - 1:
         raise ValueError(f"k={k} out of range [1, {n - 1}]")
-    order = _neighbor_order(D, direction)
-    return Digraph(n, k, np.sort(order[:, :k], axis=1))
+    key = _neighbor_keys(D, direction)
+    kth = np.partition(key, k - 1, axis=1)[:, k - 1 : k].copy()
+    chosen = key < kth
+    tied = key == kth
+    del key
+    need = k - chosen.sum(axis=1, keepdims=True)
+    chosen |= tied & (np.cumsum(tied, axis=1, dtype=np.min_scalar_type(n)) <= need)
+    return Digraph(n, k, np.nonzero(chosen)[1].reshape(n, k))
 
 
 class _UnionFind:
@@ -182,18 +216,18 @@ def neighbor_rank_rows(D: np.ndarray, direction: str) -> np.ndarray:
     """Competition ranks of every candidate neighbor, per source node.
 
     Entry (i, x) is 1 + the number of peers strictly closer to i than x
-    (strictly farther, for the farthest direction).  The diagonal is 0 and
+    (strictly farther, for the farthest direction), so tied peers share a
+    rank.  One unstable sort per row computes it.  The diagonal is 0 and
     never used.
     """
-    n = D.shape[0]
-    ranks = np.zeros((n, n))
-    for i in range(n):
-        vals = D[i] if direction == NEAREST else -D[i]
-        others = np.delete(vals, i)
-        others.sort()
-        ranks[i] = 1 + np.searchsorted(others, vals, side="left")
-        ranks[i, i] = 0.0
+    ranks = _competition_ranks(_neighbor_keys(D, direction))
+    np.fill_diagonal(ranks, 0.0)
     return ranks
+
+
+def _check_lam(lam: float) -> None:
+    if not 0.0 <= lam < np.inf:  # also false for nan
+        raise ValueError("lam must be finite and nonnegative")
 
 
 def robust_objective(D, G: Digraph, lam: float, direction: str = NEAREST) -> float:
@@ -203,8 +237,7 @@ def robust_objective(D, G: Digraph, lam: float, direction: str = NEAREST) -> flo
     out-degree is k, and would not change the minimizers.
     """
     D = check_distance_matrix(D)
-    if lam < 0:
-        raise ValueError("lam must be nonnegative")
+    _check_lam(lam)
     ranks = neighbor_rank_rows(D, direction)
     rows = np.arange(G.n)[:, None]
     rank_sum = float(ranks[rows, G.out_neighbors].sum())
@@ -239,8 +272,7 @@ def robust_graph(D, k: int, lam: float, direction: str = NEAREST,
     relabels the result without changing which local optimum is found.
     """
     D = check_distance_matrix(D)
-    if lam < 0:
-        raise ValueError("lam must be nonnegative")
+    _check_lam(lam)
     if max_sweeps < 1:
         raise ValueError("max_sweeps must be positive")
     n = D.shape[0]
@@ -251,14 +283,20 @@ def robust_graph(D, k: int, lam: float, direction: str = NEAREST,
     # one column ties exactly for mutually-nearest pairs, so compare the
     # first three lexicographically; lexsort is stable, so index only breaks
     # measure-zero ties
-    profile = np.sort(D + np.diag(np.full(n, np.inf)), axis=1)[:, : min(3, n - 1)]
+    cols = min(3, n - 1)
+    profile = _neighbor_keys(D, NEAREST)
+    profile.partition(cols - 1, axis=1)
+    profile = np.sort(profile[:, :cols], axis=1)
     visit = np.lexsort(tuple(profile.T[::-1])).tolist()
     ranks = neighbor_rank_rows(D, direction)
     neighbors = init.out_neighbors.copy()
     cur_rank = np.take_along_axis(ranks, neighbors, axis=1)  # in neighbors' row order
-    # candidates of each node by (rank, index); the node itself sorts last
-    np.fill_diagonal(ranks, np.inf)
-    order = np.argsort(ranks, axis=1, kind="stable")
+    # candidates of each node by (rank, index), the node itself last: the
+    # ranks are integers below n, and numpy radix-sorts small integer types
+    np.fill_diagonal(ranks, n)
+    key = ranks.astype(np.min_scalar_type(n))
+    order = np.argsort(key, axis=1, kind="stable")
+    del key
     ordrank = np.take_along_axis(ranks, order, axis=1)
     del ranks
     indeg = init.in_degrees().astype(np.int64)

@@ -20,6 +20,8 @@ from .graphs import (
     FARTHEST,
     NEAREST,
     UndirectedGraph,
+    _check_lam,
+    _competition_ranks,
     _neighbor_order,
     check_distance_matrix,
     kmst,
@@ -77,8 +79,7 @@ class ScoreConfig:
             raise ValueError("graph_rank scores require the knn/kfp or kmst/kmaxst family")
         if self.k != "auto" and (not isinstance(self.k, int) or self.k < 1):
             raise ValueError(f"k must be 'auto' or a positive integer, got {self.k!r}")
-        if self.lam < 0:
-            raise ValueError("lam must be nonnegative")
+        _check_lam(self.lam)
 
     def resolve_k(self, n: int) -> int:
         k = int(math.isqrt(n)) if self.k == "auto" else self.k
@@ -177,11 +178,11 @@ def robust_rank_scores(G: Digraph, D, direction: str = NEAREST) -> ScoreMatrix:
     """
     D = check_distance_matrix(D)
     sign = 1.0 if direction == NEAREST else -1.0
+    rows = np.arange(G.n)[:, None]
     M = np.zeros((G.n, G.n))
-    for i in range(G.n):
-        nb = G.out_neighbors[i]
-        v = sign * D[i, nb]
-        M[i, nb] = (v[:, None] <= v[None, :]).sum(axis=1)
+    # an edge scores the number of the node's edge keys at least its own,
+    # which is k + 1 - its competition rank
+    M[rows, G.out_neighbors] = G.k + 1 - _competition_ranks(sign * D[rows, G.out_neighbors])
     return ScoreMatrix(M, SIMILARITY if direction == NEAREST else DISSIMILARITY)
 
 

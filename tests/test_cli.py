@@ -214,6 +214,10 @@ class TestCmdGraph:
      "--components", "--method", "permutation"],
     ["simulate", "--setting", "tune_i", "--n", "50", "--p", "5", "--reps", "1",
      "--sweep-alphas", "0.5", "--components"],
+    ["test", "--lambda", "nan"],
+    ["test", "--lambda", "inf"],
+    ["graph", "--lambda", "nan"],
+    ["graph", "--lambda", "inf"],
 ])
 def test_invalid_flag_value_is_usage_error(argv, tmp_path, rng, capsys):
     # samples of n=30 rows: --k 40 exceeds n - 1, and --k 20 exceeds the 15

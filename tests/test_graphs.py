@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -199,15 +200,39 @@ class TestRobustGraph:
             robust_graph(line_distances([0, 1, 3]), 1, -0.1)
 
 
+def reference_neighbor_rank_rows(D, direction):
+    """Competition ranks as first written: one row at a time."""
+    n = D.shape[0]
+    ranks = np.zeros((n, n))
+    for i in range(n):
+        vals = D[i] if direction == NEAREST else -D[i]
+        others = np.delete(vals, i)
+        others.sort()
+        ranks[i] = 1 + np.searchsorted(others, vals, side="left")
+        ranks[i, i] = 0.0
+    return ranks
+
+
+def reference_knn_graph(D, k, direction=NEAREST):
+    """The k-NN graph as first written: a full stable sort of every row."""
+    D = check_distance_matrix(D)
+    n = D.shape[0]
+    key = D.copy() if direction == NEAREST else -D
+    np.fill_diagonal(key, np.inf)
+    order = np.argsort(key, axis=1, kind="stable")  # stable: ties -> smaller index
+    order = order[:, : n - 1]
+    return Digraph(n, k, np.sort(order[:, :k], axis=1))
+
+
 def reference_robust_graph(D, k, lam, direction=NEAREST, max_sweeps=20):
     """The descent as first written: every visit prices all n candidates and
     sorts them by (cost, rank, index) with a full lexsort."""
     D = check_distance_matrix(D)
     n = D.shape[0]
-    init = knn_graph(D, k, direction)
+    init = reference_knn_graph(D, k, direction)
     if lam == 0.0:
         return init
-    ranks = neighbor_rank_rows(D, direction)
+    ranks = reference_neighbor_rank_rows(D, direction)
     neighbors = init.out_neighbors.copy()
     indeg = init.in_degrees().astype(np.int64)
     # label-invariant visit order: sort by the smallest distances to peers.
@@ -256,26 +281,79 @@ def assert_matches_reference(D, directions, lams, ks, sweeps):
         assert np.array_equal(got, want), (direction, lam, k, max_sweeps)
 
 
+def oracle_ks(n):
+    return sorted({1, int(np.sqrt(n)), n - 1})
+
+
+ORACLE_SIZES = [2, 3, 5, 12, 50, 300]
+
+
+class TestRankAndKnnOracle:
+    """The one-sort ranks and the partition k-NN graph match the reference
+    per-row loop and full stable sort exactly."""
+
+    @pytest.mark.parametrize("kind", ["gaussian", "binary", "rounded", "all_ties"])
+    @pytest.mark.parametrize("n", ORACLE_SIZES)
+    def test_grid(self, n, kind):
+        # every off-diagonal distance of the identity's rows is sqrt(2)
+        D = pairwise_distances(np.eye(n) if kind == "all_ties" else oracle_data(n, kind))
+        for direction in (NEAREST, FARTHEST):
+            R = neighbor_rank_rows(D, direction)
+            assert R.dtype == np.float64
+            assert np.all(np.diagonal(R) == 0)
+            assert np.array_equal(R, reference_neighbor_rank_rows(D, direction)), direction
+            for k in oracle_ks(n):
+                got = knn_graph(D, k, direction).out_neighbors
+                want = reference_knn_graph(D, k, direction).out_neighbors
+                assert np.array_equal(got, want), (direction, k)
+
+
 class TestRobustGraphOracle:
     """The prefix descent returns the reference descent's graph bit for bit."""
 
     @pytest.mark.parametrize("kind", ["gaussian", "binary", "rounded"])
-    @pytest.mark.parametrize("n", [5, 12, 50, 300])
+    @pytest.mark.parametrize("n", ORACLE_SIZES)
     def test_grid(self, n, kind):
         D = pairwise_distances(oracle_data(n, kind))
-        ks = sorted({1, int(np.sqrt(n)), n - 1})
-        assert_matches_reference(D, (NEAREST, FARTHEST), (0.0, 0.3, 1.0, 1 / 3), ks, (1, 20))
+        assert_matches_reference(D, (NEAREST, FARTHEST), (0.0, 0.3, 1.0, 1 / 3), oracle_ks(n), (1, 20))
 
-    def test_non_finite_lambda(self):
-        # every cost is inf or nan, so no prefix bound ever holds and the
+    def test_huge_lambda(self):
+        # every cost absorbs the rank, so no prefix bound ever holds and the
         # selection has to stop at the full candidate list
         D = pairwise_distances(oracle_data(12, "gaussian"))
-        assert_matches_reference(D, (NEAREST, FARTHEST), (np.inf, np.nan), (1, 3), (1, 20))
+        assert_matches_reference(D, (NEAREST, FARTHEST), (1e300,), (1, 3), (1, 20))
+
+    def test_non_finite_lambda(self):
+        # an inf or nan penalty makes every cost inf or nan, so no move would
+        # ever count as an improvement: it is refused instead
+        D = pairwise_distances(oracle_data(12, "gaussian"))
+        G = knn_graph(D, 3)
+        for lam in (np.inf, np.nan):
+            with pytest.raises(ValueError, match="lam must be finite and nonnegative"):
+                robust_graph(D, 3, lam)
+            with pytest.raises(ValueError, match="lam must be finite and nonnegative"):
+                robust_objective(D, G, lam)
 
     @pytest.mark.slow
     def test_n1000_gaussian(self):
         D = pairwise_distances(oracle_data(1000, "gaussian"))
         assert_matches_reference(D, (NEAREST, FARTHEST), (0.3,), (31,), (20,))
+
+
+@pytest.mark.parametrize("direction", [NEAREST, FARTHEST])
+def test_robust_graph_memory_peak(direction):
+    # the set-up never holds more than three n x n arrays of 8-byte entries
+    # at once (3.34 x 8n^2 bytes at the peak with numpy 2.4), so one more
+    # copy crosses the bound
+    n = 400
+    D = pairwise_distances(oracle_data(n, "gaussian"))
+    tracemalloc.start()
+    try:
+        robust_graph(D, 20, 0.3, direction)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4.0 * 8 * n * n
 
 
 class TestDumpEdges:

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -48,6 +49,11 @@ class TestScoreConfig:
             ScoreConfig(scheme="robust_rank", graph_family="knn")
         with pytest.raises(ValueError):
             ScoreConfig(scheme="graph_rank", graph_family="robust_kfp")
+
+    @pytest.mark.parametrize("lam", [-0.1, np.inf, np.nan])
+    def test_bad_lambda(self, lam):
+        with pytest.raises(ValueError, match="lam must be finite and nonnegative"):
+            ScoreConfig(lam=lam)
 
     def test_bad_k(self):
         with pytest.raises(ValueError):
@@ -202,6 +208,32 @@ class TestRobustRank:
         for i in range(20):
             nonzero = sorted(R.values[i][R.values[i] > 0].tolist())
             assert nonzero == list(range(1, k + 1))
+
+
+def reference_robust_rank_scores(G, D, direction):
+    """Robust ranks as first written: one row at a time."""
+    sign = 1.0 if direction == NEAREST else -1.0
+    M = np.zeros((G.n, G.n))
+    for i in range(G.n):
+        nb = G.out_neighbors[i]
+        v = sign * D[i, nb]
+        M[i, nb] = (v[:, None] <= v[None, :]).sum(axis=1)
+    return M
+
+
+class TestRobustRankOracle:
+    @pytest.mark.parametrize("kind", ["gaussian", "binary", "rounded"])
+    def test_matches_row_loop(self, kind):
+        z = np.random.default_rng(7).standard_normal((60, 4))
+        if kind == "binary":
+            z = (z > 0).astype(float)  # nearly every edge ties with another
+        elif kind == "rounded":
+            z = np.round(z, 1)
+        D = pairwise_distances(z)
+        for direction, k in itertools.product((NEAREST, FARTHEST), (1, 7, 59)):
+            G = robust_graph(D, k, 0.3, direction)
+            R = robust_rank_scores(G, D, direction).values
+            assert np.array_equal(R, reference_robust_rank_scores(G, D, direction)), (direction, k)
 
 
 class TestBuildScores:
