@@ -152,33 +152,19 @@ def knn_graph(D, k: int, direction: str = NEAREST) -> Digraph:
     return Digraph(n, k, np.nonzero(chosen)[1].reshape(n, k))
 
 
-class _UnionFind:
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-
-    def find(self, x: int) -> int:
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, a: int, b: int) -> bool:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        self.parent[max(ra, rb)] = min(ra, rb)
-        return True
-
-
 def kmst(D, k: int, direction: str = "min") -> list[UndirectedGraph]:
     """k edge-disjoint spanning trees, greedily minimal or maximal.
 
     Layer m is the Kruskal spanning tree over all edges unused by layers
-    1..m-1.  Raises if some layer cannot span, reporting how many layers are
-    complete.
+    1..m-1, edges taken in (weight, i, j) order.  Each edge's weight in the
+    tree search is its 1-based rank in that order; the ranks are distinct,
+    so the minimum spanning tree is unique and is Kruskal's tree.  Raises if
+    some layer cannot span, reporting how many layers are complete.
     """
+    # imported here: loading scipy.sparse.csgraph slows down importing the
+    # package, and the default score configuration never builds spanning trees
+    from scipy.sparse.csgraph import minimum_spanning_tree
+
     D = check_distance_matrix(D)
     n = D.shape[0]
     if direction not in ("min", "max"):
@@ -190,25 +176,23 @@ def kmst(D, k: int, direction: str = "min") -> list[UndirectedGraph]:
     keys = w if direction == "min" else -w
     # sort by (weight, i, j) so equal-weight edges resolve deterministically
     perm = np.lexsort((ju, iu, keys))
-    edge_list = list(zip(iu[perm].tolist(), ju[perm].tolist()))
-    used = set()
+    # edge (i, j), i < j, weighs W[i, j]; 0 marks "no edge".  One triangle
+    # suffices: the tree search reads the matrix as undirected
+    W = np.zeros((n, n))
+    W[iu[perm], ju[perm]] = np.arange(1.0, len(perm) + 1)
     layers: list[UndirectedGraph] = []
     for _layer in range(k):
-        uf = _UnionFind(n)
-        tree = []
-        for e in edge_list:
-            if e in used:
-                continue
-            if uf.union(*e):
-                tree.append(e)
-                if len(tree) == n - 1:
-                    break
-        if len(tree) < n - 1:
+        tree = minimum_spanning_tree(W)
+        if tree.nnz < n - 1:
+            m = len(layers)
             raise StructuralError(
-                f"only {len(layers)} complete spanning layers exist, {k} requested"
+                f"greedy layering found only {m} complete spanning layers, "
+                f"{k} requested; use k <= {m}"
             )
-        used.update(tree)
-        layers.append(UndirectedGraph(n, tuple(tree)))
+        r, c = tree.nonzero()
+        W[r, c] = 0.0
+        W[c, r] = 0.0
+        layers.append(UndirectedGraph(n, tuple(zip(r.tolist(), c.tolist()))))
     return layers
 
 

@@ -1,11 +1,12 @@
 """Score matrices and the scalar summaries consumed by the moment formulas.
 
-A score matrix is an n-by-n real matrix with an exactly-zero diagonal, tagged
-as holding similarity or dissimilarity scores.  All reductions go through
-``numpy.sum``, whose pairwise (tree) accumulation keeps results deterministic
-and bounds error growth on the large cancelling sums the covariance formulas
-feed on.  Matrices are frozen after construction, so concurrent reads are
-safe.
+A score matrix is an n-by-n real matrix with an exactly-zero diagonal; the
+``sx``, ``dx``, ``sy`` and ``dy`` fields of ``moments.QuadrupleInputs`` say
+which ones hold similarities and which dissimilarities.  All reductions go
+through ``numpy.sum``, whose pairwise (tree) accumulation keeps results
+deterministic and bounds error growth on the large cancelling sums the
+covariance formulas feed on.  Matrices are frozen after construction, so
+concurrent reads are safe.
 """
 
 from __future__ import annotations
@@ -26,11 +27,9 @@ class ScoreMatrix:
 
     Attributes:
         values: the scores, float64, read-only.
-        role: ``"similarity"`` or ``"dissimilarity"``.
     """
 
     values: np.ndarray
-    role: str
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=np.float64)
@@ -42,8 +41,6 @@ class ScoreMatrix:
             raise StructuralError("score matrix entries must be finite")
         if np.any(np.diagonal(v) != 0.0):
             raise StructuralError("score matrix diagonal must be exactly zero")
-        if self.role not in (SIMILARITY, DISSIMILARITY):
-            raise StructuralError(f"unknown role {self.role!r}")
         v = v.copy()
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
@@ -85,10 +82,10 @@ def center(C: ScoreMatrix) -> ScoreMatrix:
     shift = v.sum() / (n * (n - 1))
     v -= shift
     np.fill_diagonal(v, 0.0)
-    return ScoreMatrix(v, C.role)
+    return ScoreMatrix(v)
 
 
 def symmetrize(C: ScoreMatrix) -> ScoreMatrix:
     """Replace the matrix by the average of itself and its transpose."""
     v = (C.values + C.values.T) / 2.0
-    return ScoreMatrix(v, C.role)
+    return ScoreMatrix(v)

@@ -88,38 +88,41 @@ class ScoreConfig:
         return k
 
 
-def _directed_cells(G) -> list[tuple[int, int]]:
-    """Cells a graph writes: out-edges for digraphs, both cells for undirected."""
+def _directed_cells(G) -> tuple[np.ndarray, np.ndarray]:
+    """Cells a graph writes, as (rows, cols) index arrays: out-edges for
+    digraphs in row order; for undirected graphs each edge (i, j) followed
+    by its mirror (j, i)."""
     if isinstance(G, Digraph):
-        return [(i, int(j)) for i in range(G.n) for j in G.out_neighbors[i]]
+        return np.repeat(np.arange(G.n), G.k), G.out_neighbors.ravel()
     if isinstance(G, UndirectedGraph):
-        return [c for i, j in G.edges for c in ((i, j), (j, i))]
+        e = np.array(G.edges, dtype=np.intp).reshape(-1, 2)
+        return e.ravel(), e[:, ::-1].ravel()
     raise TypeError(f"unsupported graph type {type(G).__name__}")
 
 
-def adjacency_scores(G, role: str = SIMILARITY) -> ScoreMatrix:
+def adjacency_scores(G) -> ScoreMatrix:
     """0/1 matrix marking graph edges."""
     M = np.zeros((G.n, G.n))
-    for i, j in _directed_cells(G):
-        M[i, j] = 1.0
-    return ScoreMatrix(M, role)
+    M[_directed_cells(G)] = 1.0
+    return ScoreMatrix(M)
 
 
 def distance_weight_scores(G, D, role: str) -> ScoreMatrix:
     """Reciprocal distances on similarity edges, raw distances on dissimilarity edges."""
     D = check_distance_matrix(D)
+    rows, cols = _directed_cells(G)
+    d = D[rows, cols]
     M = np.zeros((G.n, G.n))
-    for i, j in _directed_cells(G):
-        d = D[i, j]
-        if role == SIMILARITY:
-            if d == 0.0:
-                raise DegenerateDataError(
-                    f"zero distance between observations {i} and {j} on a similarity edge"
-                )
-            M[i, j] = 1.0 / d
-        else:
-            M[i, j] = d
-    return ScoreMatrix(M, role)
+    if role == SIMILARITY:
+        zero = d == 0.0
+        if zero.any():
+            t = int(np.argmax(zero))
+            raise DegenerateDataError(
+                f"zero distance between observations {rows[t]} and {cols[t]} on a similarity edge"
+            )
+        d = 1.0 / d
+    M[rows, cols] = d
+    return ScoreMatrix(M)
 
 
 def kernel_scores(G, D, role: str, bandwidth: float) -> ScoreMatrix:
@@ -129,10 +132,12 @@ def kernel_scores(G, D, role: str, bandwidth: float) -> ScoreMatrix:
         raise ValueError(f"bandwidth must be positive, got {bandwidth}")
     D = check_distance_matrix(D)
     sign = -1.0 if role == SIMILARITY else 1.0
+    rows, cols = _directed_cells(G)
     M = np.zeros((G.n, G.n))
-    for i, j in _directed_cells(G):
-        M[i, j] = math.exp(sign * D[i, j] ** 2 / (2.0 * bandwidth))
-    return ScoreMatrix(M, role)
+    # math.exp of numpy-scalar squares, one cell at a time: np.exp and the
+    # array square round some cells differently
+    M[rows, cols] = [math.exp(sign * d ** 2 / (2.0 * bandwidth)) for d in D[rows, cols]]
+    return ScoreMatrix(M)
 
 
 def neighbor_layers(D, k: int, direction: str = NEAREST) -> list[Digraph]:
@@ -145,7 +150,7 @@ def neighbor_layers(D, k: int, direction: str = NEAREST) -> list[Digraph]:
     return [Digraph(n, 1, order[:, l : l + 1]) for l in range(k)]
 
 
-def graph_rank_scores(layers, role: str = SIMILARITY) -> ScoreMatrix:
+def graph_rank_scores(layers) -> ScoreMatrix:
     """Rank weights from edge-disjoint graph layers.
 
     With k layers, an edge first appearing in layer l is contained in the
@@ -161,11 +166,13 @@ def graph_rank_scores(layers, role: str = SIMILARITY) -> ScoreMatrix:
     for l, layer in enumerate(layers, start=1):
         if layer.n != n:
             raise StructuralError("layers disagree on node count")
-        for i, j in _directed_cells(layer):
-            if M[i, j] != 0.0:
-                raise StructuralError(f"edge ({i},{j}) appears in more than one layer")
-            M[i, j] = k - l + 1
-    return ScoreMatrix(M, role)
+        rows, cols = _directed_cells(layer)
+        taken = M[rows, cols] != 0.0
+        if taken.any():
+            t = int(np.argmax(taken))
+            raise StructuralError(f"edge ({rows[t]},{cols[t]}) appears in more than one layer")
+        M[rows, cols] = k - l + 1
+    return ScoreMatrix(M)
 
 
 def robust_rank_scores(G: Digraph, D, direction: str = NEAREST) -> ScoreMatrix:
@@ -183,17 +190,14 @@ def robust_rank_scores(G: Digraph, D, direction: str = NEAREST) -> ScoreMatrix:
     # an edge scores the number of the node's edge keys at least its own,
     # which is k + 1 - its competition rank
     M[rows, G.out_neighbors] = G.k + 1 - _competition_ranks(sign * D[rows, G.out_neighbors])
-    return ScoreMatrix(M, SIMILARITY if direction == NEAREST else DISSIMILARITY)
+    return ScoreMatrix(M)
 
 
 def _median_sq_bandwidths(D: np.ndarray, gs, gd) -> tuple[float, float]:
-    """Median squared edge distance per graph; overall median as fallback."""
+    """Median squared edge distance per graph, squared one numpy scalar at a
+    time as ``kernel_scores`` does."""
     def med(G):
-        cells = _directed_cells(G)
-        if not cells:
-            iu, ju = np.triu_indices(D.shape[0], 1)
-            return float(np.median(D[iu, ju] ** 2))
-        return float(np.median([D[i, j] ** 2 for i, j in cells]))
+        return float(np.median([d ** 2 for d in D[_directed_cells(G)]]))
 
     return med(gs), med(gd)
 
@@ -227,16 +231,16 @@ def build_scores(Z, cfg: ScoreConfig = ScoreConfig()) -> tuple[ScoreMatrix, Scor
     dis_layers = GRAPHS[dis_name](D, k, cfg.lam)
 
     if cfg.scheme == "graph_rank":
-        sim = graph_rank_scores(sim_layers, SIMILARITY)
-        dis = graph_rank_scores(dis_layers, DISSIMILARITY)
+        sim = graph_rank_scores(sim_layers)
+        dis = graph_rank_scores(dis_layers)
     else:
         gs, gd = union_graph(sim_layers), union_graph(dis_layers)
         if cfg.scheme == "robust_rank":
             sim = robust_rank_scores(gs, D, NEAREST)
             dis = robust_rank_scores(gd, D, FARTHEST)
         elif cfg.scheme == "adjacency":
-            sim = adjacency_scores(gs, SIMILARITY)
-            dis = adjacency_scores(gd, DISSIMILARITY)
+            sim = adjacency_scores(gs)
+            dis = adjacency_scores(gd)
         elif cfg.scheme == "distance_weight":
             sim = distance_weight_scores(gs, D, SIMILARITY)
             dis = distance_weight_scores(gd, D, DISSIMILARITY)

@@ -1,15 +1,15 @@
 import numpy as np
 import pytest
 
-from gitest.matrixcore import DISSIMILARITY, SIMILARITY, ScoreMatrix
+from gitest.matrixcore import ScoreMatrix
 
 
-def random_symmetric_scores(rng, n, low=-3, high=3, role=SIMILARITY):
+def random_symmetric_scores(rng, n, low=-3, high=3):
     """Integer-valued symmetric score matrix with a zero diagonal."""
     M = rng.integers(low, high + 1, size=(n, n)).astype(float)
     M = np.triu(M, 1)
     M = M + M.T
-    return ScoreMatrix(M, role)
+    return ScoreMatrix(M)
 
 
 @pytest.fixture
@@ -21,8 +21,8 @@ def make_quadruple(rng, n, low=-3, high=3):
     from gitest.moments import QuadrupleInputs
 
     return QuadrupleInputs(
-        sx=random_symmetric_scores(rng, n, low, high, SIMILARITY),
-        dx=random_symmetric_scores(rng, n, low, high, DISSIMILARITY),
-        sy=random_symmetric_scores(rng, n, low, high, SIMILARITY),
-        dy=random_symmetric_scores(rng, n, low, high, DISSIMILARITY),
+        sx=random_symmetric_scores(rng, n, low, high),
+        dx=random_symmetric_scores(rng, n, low, high),
+        sy=random_symmetric_scores(rng, n, low, high),
+        dy=random_symmetric_scores(rng, n, low, high),
     )

@@ -10,7 +10,7 @@ import sys
 import numpy as np
 import pytest
 
-from gitest import graphs, inference
+from gitest import graphs, inference, scores
 
 PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -44,6 +44,20 @@ def test_robust_graph_calls_its_builders_through_the_module(direction, monkeypat
     D = graphs.pairwise_distances(np.random.default_rng(0).standard_normal((20, 3)))
     graphs.robust_graph(D, 4, 0.3, direction)
     assert calls == {"knn_graph": 1, "neighbor_rank_rows": 1}
+
+
+def test_kmst_scores_call_their_builders_through_the_module(monkeypatch):
+    # the traced monte_carlo run requires the graphs.kmst and
+    # scores.graph_rank_scores spans of its kmst configuration
+    calls = {"kmst": 0, "graph_rank_scores": 0}
+    for attr in calls:
+        def counted(*args, _fn=getattr(scores, attr), _attr=attr, **kwargs):
+            calls[_attr] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(scores, attr, counted)
+    x = np.random.default_rng(0).standard_normal((20, 3))
+    scores.build_scores(x, scores.ScoreConfig(scheme="graph_rank", graph_family="kmst"))
+    assert calls == {"kmst": 2, "graph_rank_scores": 2}
 
 
 def test_calls_the_benchmark_makes_by_keyword():

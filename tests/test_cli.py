@@ -92,6 +92,15 @@ class TestCmdTest:
         assert cli.main(["test", "--x", px, "--y", py]) == 2
         assert "all pairwise distances are zero" in capsys.readouterr().err
 
+    def test_zero_distance_similarity_edge_exit_2(self, tmp_path, rng, capsys):
+        x = rng.standard_normal((12, 3))
+        x[5] = x[2]
+        px = write_csv(tmp_path / "x.csv", x)
+        py = write_csv(tmp_path / "y.csv", rng.standard_normal((12, 3)))
+        assert cli.main(["test", "--x", px, "--y", py, "--scheme", "distance_weight",
+                        "--graph", "knn"]) == 2
+        assert "zero distance between observations 2 and 5" in capsys.readouterr().err
+
     def test_threads_env_fallback(self, gaussian_pair, capsys, monkeypatch):
         px, py, _, _ = gaussian_pair
         monkeypatch.setenv("GITEST_THREADS", "2")
@@ -193,6 +202,14 @@ class TestCmdGraph:
         assert cli.main(["graph", "--x", px, "--graph", "kmst", "--k", "2"]) == 0
         lines = capsys.readouterr().out.strip().split("\n")
         assert len(lines) == 2 * 7  # two spanning layers
+
+    def test_kmaxst_default_k_names_the_feasible_k(self, tmp_path, capsys):
+        # the golden input: the greedy layering finds 3 maximal spanning
+        # trees, and the default k is floor(sqrt(30)) = 5
+        x = np.random.default_rng(20241).standard_normal((30, 5))
+        px = write_csv(tmp_path / "x.csv", x)
+        assert cli.main(["graph", "--x", px, "--graph", "kmaxst"]) == 2
+        assert "k <= 3" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,4 +1,5 @@
 import itertools
+import re
 import tracemalloc
 
 import numpy as np
@@ -338,6 +339,88 @@ class TestRobustGraphOracle:
     def test_n1000_gaussian(self):
         D = pairwise_distances(oracle_data(1000, "gaussian"))
         assert_matches_reference(D, (NEAREST, FARTHEST), (0.3,), (31,), (20,))
+
+
+class _UnionFind:
+    def __init__(self, n: int):
+        self.parent = list(range(n))
+
+    def find(self, x: int) -> int:
+        root = x
+        while self.parent[root] != root:
+            root = self.parent[root]
+        while self.parent[x] != root:
+            self.parent[x], x = root, self.parent[x]
+        return root
+
+    def union(self, a: int, b: int) -> bool:
+        ra, rb = self.find(a), self.find(b)
+        if ra == rb:
+            return False
+        self.parent[max(ra, rb)] = min(ra, rb)
+        return True
+
+
+def reference_kmst(D, k, direction="min"):
+    """The spanning-tree layers as first written: a union-find Kruskal pass
+    over all edges in (weight, i, j) order per layer, skipping used edges.
+    Only the error message is the current wording."""
+    D = check_distance_matrix(D)
+    n = D.shape[0]
+    iu, ju = np.triu_indices(n, 1)
+    w = D[iu, ju]
+    keys = w if direction == "min" else -w
+    perm = np.lexsort((ju, iu, keys))
+    edge_list = list(zip(iu[perm].tolist(), ju[perm].tolist()))
+    used = set()
+    layers = []
+    for _layer in range(k):
+        uf = _UnionFind(n)
+        tree = []
+        for e in edge_list:
+            if e in used:
+                continue
+            if uf.union(*e):
+                tree.append(e)
+                if len(tree) == n - 1:
+                    break
+        if len(tree) < n - 1:
+            m = len(layers)
+            raise StructuralError(
+                f"greedy layering found only {m} complete spanning layers, "
+                f"{k} requested; use k <= {m}"
+            )
+        used.update(tree)
+        layers.append(UndirectedGraph(n, tuple(tree)))
+    return layers
+
+
+class TestKmstOracle:
+    """The spanning-tree layers match the reference Kruskal layers edge for
+    edge, and fail with the same message where the greedy layering stops."""
+
+    @pytest.mark.parametrize("kind", ["gaussian", "binary", "rounded"])
+    @pytest.mark.parametrize("n", [4, 11, 30, 100])
+    def test_grid(self, n, kind):
+        D = pairwise_distances(oracle_data(n, kind))
+        kmax = n // 2
+        for direction in ("min", "max"):
+            # a reference layer never depends on k, so layers 1..k of the
+            # largest complete run answer every k up to its length
+            try:
+                ref, m, stuck = reference_kmst(D, kmax, direction), kmax, None
+            except StructuralError as exc:
+                m = int(re.search(r"only (\d+) complete", str(exc)).group(1))
+                ref, stuck = reference_kmst(D, m, direction), str(exc)
+            for k in range(1, kmax + 1):
+                if k <= m:
+                    got = [g.edges for g in kmst(D, k, direction)]
+                    assert got == [g.edges for g in ref[:k]], (direction, k)
+                    continue
+                with pytest.raises(StructuralError, match=f"only {m} complete") as got:
+                    kmst(D, k, direction)
+                if k == kmax:
+                    assert str(got.value) == stuck, direction
 
 
 @pytest.mark.parametrize("direction", [NEAREST, FARTHEST])

@@ -15,7 +15,7 @@ from gitest.inference import (
     run_test,
     standard_normal_cdf,
 )
-from gitest.matrixcore import DISSIMILARITY, SIMILARITY, ScoreMatrix
+from gitest.matrixcore import ScoreMatrix
 from gitest.moments import QuadrupleInputs, null_moments
 
 from conftest import make_quadruple
@@ -103,8 +103,8 @@ def disjoint_support_quadruple():
     dy = sym([((0, 3), 1.0), ((1, 2), -1.0)])
     sy = sym([((0, 4), 1.0), ((3, 4), -1.0)])
     return QuadrupleInputs(
-        sx=ScoreMatrix(sx, SIMILARITY), dx=ScoreMatrix(dx, DISSIMILARITY),
-        sy=ScoreMatrix(sy, SIMILARITY), dy=ScoreMatrix(dy, DISSIMILARITY),
+        sx=ScoreMatrix(sx), dx=ScoreMatrix(dx),
+        sy=ScoreMatrix(sy), dy=ScoreMatrix(dy),
     )
 
 
@@ -120,7 +120,7 @@ class TestGitTest:
         assert res.moments.rank == 4
         q2 = QuadrupleInputs(
             sx=q.sx, dx=q.dx, sy=q.sy,
-            dy=ScoreMatrix(4.0 * q.dy.values, DISSIMILARITY),
+            dy=ScoreMatrix(4.0 * q.dy.values),
         )
         res2 = git_test(q2)
         assert res2.statistic == pytest.approx(res.statistic, rel=1e-9)
@@ -151,7 +151,7 @@ class TestGitTest:
         assert res.statistic == pytest.approx(pinv, rel=1e-9)
 
     def test_degenerate_inputs_rejected(self):
-        ones = ScoreMatrix(1.0 - np.eye(5), SIMILARITY)
+        ones = ScoreMatrix(1.0 - np.eye(5))
         q = QuadrupleInputs(sx=ones, dx=ones, sy=ones, dy=ones)
         with pytest.raises(DegenerateDataError):
             git_test(q)

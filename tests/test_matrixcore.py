@@ -4,21 +4,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gitest.errors import StructuralError
-from gitest.matrixcore import (
-    DISSIMILARITY,
-    SIMILARITY,
-    ScoreMatrix,
-    center,
-    cross_summarize,
-    symmetrize,
-)
+from gitest.matrixcore import ScoreMatrix, center, cross_summarize, symmetrize
 from gitest.moments import QuadrupleInputs, diagnostics
 
 from conftest import make_quadruple, random_symmetric_scores
 
 
-def mat(entries, role=SIMILARITY):
-    return ScoreMatrix(np.asarray(entries, dtype=float), role)
+def mat(entries):
+    return ScoreMatrix(np.asarray(entries, dtype=float))
 
 
 ALL_ONES_3 = [[0, 1, 1], [1, 0, 1], [1, 1, 0]]
@@ -127,5 +120,5 @@ class TestSymmetrize:
         assert s.values[0, 1] == s.values[1, 0] == 2.0
 
     def test_idempotent(self):
-        m = mat([[0.0, 4.0], [1.0, 0.0]], DISSIMILARITY)
+        m = mat([[0.0, 4.0], [1.0, 0.0]])
         assert np.array_equal(symmetrize(symmetrize(m)).values, symmetrize(m).values)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from gitest.errors import StructuralError
-from gitest.matrixcore import DISSIMILARITY, SIMILARITY, ScoreMatrix, center
+from gitest.matrixcore import ScoreMatrix, center
 from gitest.moments import (
     QuadrupleInputs,
     brute_force_moments,
@@ -16,8 +16,8 @@ from gitest.moments import (
 from conftest import make_quadruple, random_symmetric_scores
 
 
-def ones_matrix(n, role=SIMILARITY):
-    return ScoreMatrix(1.0 - np.eye(n), role)
+def ones_matrix(n):
+    return ScoreMatrix(1.0 - np.eye(n))
 
 
 def quadruple_from(mats):
@@ -31,7 +31,7 @@ class TestTStats:
         assert np.array_equal(t_stats(q), [6, 6, 6, 6])
 
     def test_zero_matrix_zeroes_components(self):
-        z = ScoreMatrix(np.zeros((3, 3)), DISSIMILARITY)
+        z = ScoreMatrix(np.zeros((3, 3)))
         q = quadruple_from([ones_matrix(3), z, ones_matrix(3), ones_matrix(3)])
         # dx = 0 kills T1 (dx*dy) and T2 (dx*sy)
         assert np.array_equal(t_stats(q), [0, 0, 6, 6])
@@ -40,13 +40,13 @@ class TestTStats:
         dx = np.zeros((3, 3)); dx[0, 1] = dx[1, 0] = 2.0
         dy = np.zeros((3, 3)); dy[0, 1] = dy[1, 0] = 3.0
         q = quadruple_from([
-            ones_matrix(3), ScoreMatrix(dx, DISSIMILARITY),
-            ones_matrix(3), ScoreMatrix(dy, DISSIMILARITY),
+            ones_matrix(3), ScoreMatrix(dx),
+            ones_matrix(3), ScoreMatrix(dy),
         ])
         assert t_stats(q)[0] == 12.0
 
     def test_requires_symmetry(self):
-        asym = ScoreMatrix([[0.0, 1.0], [0.0, 0.0]], SIMILARITY)
+        asym = ScoreMatrix([[0.0, 1.0], [0.0, 0.0]])
         sym = ones_matrix(2)
         with pytest.raises(StructuralError, match="symmetr"):
             quadruple_from([asym, sym, sym, sym])
@@ -60,8 +60,8 @@ class TestExpectedT:
         assert np.array_equal(null_moments(q).mu, [12.0, 12.0, 12.0, 12.0])
 
     def test_centered_input_gives_zero(self, rng):
-        A = [center(random_symmetric_scores(rng, 7, role=r)) for r in (SIMILARITY, DISSIMILARITY)]
-        B = [random_symmetric_scores(rng, 7, role=r) for r in (SIMILARITY, DISSIMILARITY)]
+        A = [center(random_symmetric_scores(rng, 7)) for _ in range(2)]
+        B = [random_symmetric_scores(rng, 7) for _ in range(2)]
         q = quadruple_from([A[0], A[1], B[0], B[1]])
         assert np.all(np.abs(null_moments(q).mu) < 1e-9)
 
@@ -124,8 +124,8 @@ class TestNullMoments:
         ix = np.ix_(perm, perm)
         q2 = QuadrupleInputs(
             sx=q.sx, dx=q.dx,
-            sy=ScoreMatrix(q.sy.values[ix], SIMILARITY),
-            dy=ScoreMatrix(q.dy.values[ix], DISSIMILARITY),
+            sy=ScoreMatrix(q.sy.values[ix]),
+            dy=ScoreMatrix(q.dy.values[ix]),
         )
         m1, m2 = null_moments(q), null_moments(q2)
         assert np.allclose(m1.mu, m2.mu, rtol=1e-12, atol=1e-12)
@@ -136,7 +136,7 @@ class TestNullMoments:
         c = 3.5
         q2 = QuadrupleInputs(
             sx=q.sx, dx=q.dx, sy=q.sy,
-            dy=ScoreMatrix(c * q.dy.values, DISSIMILARITY),
+            dy=ScoreMatrix(c * q.dy.values),
         )
         m1, m2 = null_moments(q), null_moments(q2)
         scale = np.array([c, 1.0, c, 1.0])
@@ -191,7 +191,7 @@ class TestDiagnostics:
     def test_positive_scaling_leaves_grams_unchanged(self, rng):
         q = make_quadruple(rng, 10)
         q2 = QuadrupleInputs(
-            sx=ScoreMatrix(2.0 * q.sx.values, SIMILARITY),
+            sx=ScoreMatrix(2.0 * q.sx.values),
             dx=q.dx, sy=q.sy, dy=q.dy,
         )
         r1, r2 = diagnostics(q), diagnostics(q2)

@@ -18,7 +18,9 @@ from gitest.graphs import (
 )
 from gitest.matrixcore import DISSIMILARITY, SIMILARITY
 from gitest.scores import (
+    GRAPHS,
     ScoreConfig,
+    _median_sq_bandwidths,
     adjacency_scores,
     build_scores,
     distance_weight_scores,
@@ -26,6 +28,7 @@ from gitest.scores import (
     kernel_scores,
     neighbor_layers,
     robust_rank_scores,
+    union_graph,
 )
 
 LINE = np.array([[0.0], [1.0], [3.0], [7.0]])
@@ -101,6 +104,16 @@ class TestDistanceWeight:
         # the dissimilarity side tolerates duplicates
         distance_weight_scores(G, D, DISSIMILARITY)
 
+    def test_zero_distance_reports_the_first_pair(self, rng):
+        Z = rng.standard_normal((8, 3))
+        Z[5] = Z[2]
+        D = pairwise_distances(Z)
+        with pytest.raises(DegenerateDataError, match="observations 2 and 5 on a similarity"):
+            distance_weight_scores(knn_graph(D, 1), D, SIMILARITY)
+        # a spanning tree takes the zero-length edge (2, 5) first
+        with pytest.raises(DegenerateDataError, match="observations 2 and 5 on a similarity"):
+            distance_weight_scores(kmst(D, 1)[0], D, SIMILARITY)
+
 
 class TestKernel:
     def test_closed_form_values(self):
@@ -138,6 +151,25 @@ class TestKernel:
                 if D[a] < D[b]:
                     assert sim.values[a] >= sim.values[b]
                     assert dis.values[a] <= dis.values[b]
+
+
+class TestKernelBits:
+    """Each kernel value and bandwidth is the math.exp of a numpy-scalar
+    square, bit for bit: np.exp and array squares round some cells
+    differently, and the golden digests do not notice."""
+
+    @pytest.mark.parametrize("names", [("knn", "kfp"), ("kmst", "kmaxst")])
+    def test_exact_values(self, names):
+        D = pairwise_distances(np.random.default_rng(60).standard_normal((60, 5)))
+        k = ScoreConfig().resolve_k(60)
+        pair = [union_graph(GRAPHS[name](D, k, 0.0)) for name in names]
+        bws = _median_sq_bandwidths(D, *pair)
+        for G, role, sign, bw in zip(pair, (SIMILARITY, DISSIMILARITY), (-1.0, 1.0), bws):
+            cells = list(zip(*np.nonzero(adjacency_scores(G).values)))
+            assert bw == float(np.median([D[i, j] ** 2 for i, j in cells]))
+            M = kernel_scores(G, D, role, bw).values
+            for i, j in cells:
+                assert M[i, j] == math.exp(sign * D[i, j] ** 2 / (2 * bw)), (role, i, j)
 
 
 class TestGraphRank:
@@ -242,7 +274,6 @@ class TestBuildScores:
         sim, dis = build_scores(Z, ScoreConfig())
         assert np.array_equal(sim.values, sim.values.T)
         assert np.array_equal(dis.values, dis.values.T)
-        assert sim.role == SIMILARITY and dis.role == DISSIMILARITY
         assert sim.values.max() <= 4  # k = floor(sqrt(16))
 
     def test_symmetrized_ranks_are_half_integers(self, rng):
