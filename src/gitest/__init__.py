@@ -11,6 +11,8 @@ Quick start::
     print(run_test(x, y).p_analytic)
 """
 
+import logging
+
 from .errors import DegenerateDataError, GitestError, StructuralError
 from .graphs import (
     Digraph,
@@ -50,6 +52,10 @@ from .simulate import (
 )
 
 __version__ = "0.1.0"
+
+# the library logs warnings (a robust descent cut off by its sweep cap) on
+# this logger; they reach the caller only when the caller configures logging
+logging.getLogger(__name__).addHandler(logging.NullHandler())
 
 __all__ = [
     "ScoreMatrix", "cross_summarize", "center", "symmetrize",

@@ -8,6 +8,7 @@ always broken toward the smaller index.
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,6 +18,8 @@ from .errors import StructuralError
 
 NEAREST = "nearest"
 FARTHEST = "farthest"
+
+_log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -102,39 +105,63 @@ def _neighbor_keys(D: np.ndarray, direction: str) -> np.ndarray:
     return key
 
 
-def _competition_ranks(key: np.ndarray) -> np.ndarray:
-    """Per row, 1 + the number of entries strictly smaller, as float64.
+def _rank_table(key: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's first ``width`` columns in (key, index) order, with their
+    competition ranks (1 + the number of keys in the row strictly smaller).
 
-    One default-kind argsort per row: tied entries share a rank, so their
-    order does not matter.  The rank of a sorted entry is 1 + the position
-    where its run of equal values starts.  ``key`` (float64) is overwritten
-    with the ranks and returned.
+    Returns ``(order, ranks)``, both (rows, width): intp column indices and
+    float64 ranks.  A partition picks each row's ``width`` smallest keys and
+    an unstable sort orders them, which is already the (key, index) order
+    wherever the row's table keys are distinct and none equals a key left
+    out.  A row with ties instead takes every key below its ``width``-th
+    smallest and the keys equal to it in index order, then sorts them
+    stably.  Every key strictly smaller than a table entry is in the table
+    too, so the rank of an entry is 1 + the position where its run of equal
+    keys starts.
     """
-    order = np.argsort(key, axis=1)
+    order = np.argpartition(key, width - 1, axis=1)[:, :width]
     run = np.take_along_axis(key, order, axis=1)
+    srt = np.argsort(run, axis=1)
+    order = np.take_along_axis(order, srt, axis=1)
+    run = np.take_along_axis(run, srt, axis=1)
     starts = run[:, 1:] != run[:, :-1]
+    cut = run[:, -1:]  # each row's width-th smallest key
+    tied = ~starts.all(axis=1) | (np.count_nonzero(key <= cut, axis=1) > width)
+    if tied.any():
+        rows = np.flatnonzero(tied)
+        sub, cut = key[rows], cut[rows]
+        chosen = sub < cut
+        at_cut = sub == cut
+        need = width - np.count_nonzero(chosen, axis=1, keepdims=True)
+        chosen |= at_cut & (np.cumsum(at_cut, axis=1, dtype=np.min_scalar_type(key.shape[1])) <= need)
+        cand = np.nonzero(chosen)[1].reshape(len(rows), width)  # index order
+        sub = np.take_along_axis(sub, cand, axis=1)
+        srt = np.argsort(sub, axis=1, kind="stable")
+        order[rows] = np.take_along_axis(cand, srt, axis=1)
+        run[rows] = np.take_along_axis(sub, srt, axis=1)
+        starts[rows] = run[rows, 1:] != run[rows, :-1]
     run[:, 0] = 0.0
-    np.multiply(starts, np.arange(1.0, key.shape[1]), out=run[:, 1:])
+    np.multiply(starts, np.arange(1.0, width), out=run[:, 1:])
     np.maximum.accumulate(run, axis=1, out=run)
     run += 1.0
-    np.put_along_axis(key, order, run, axis=1)
-    return key
+    return order, run
 
 
-def _neighbor_order(D: np.ndarray, direction: str) -> np.ndarray:
-    """Per-row candidate ordering: (n, n-1) indices sorted by distance then index."""
-    n = D.shape[0]
-    order = np.argsort(_neighbor_keys(D, direction), axis=1, kind="stable")  # ties -> smaller index
-    return order[:, : n - 1]
+def _competition_ranks(key: np.ndarray) -> np.ndarray:
+    """Per row, 1 + the number of entries strictly smaller, as float64,
+    in ``key``'s own column order."""
+    order, ranks = _rank_table(key, key.shape[1])
+    out = np.empty_like(ranks)
+    np.put_along_axis(out, order, ranks, axis=1)
+    return out
 
 
 def knn_graph(D, k: int, direction: str = NEAREST) -> Digraph:
     """Connect each node to its k nearest (or farthest) peers.
 
-    Ties are broken toward the smaller index.  No row is sorted: a partition
-    finds each row's k-th smallest key, every key strictly below it is taken,
-    and the remaining slots go to the keys equal to it in index order, which
-    is exactly the first k of the (key, index) order.
+    Ties are broken toward the smaller index: the out-neighbors are the first
+    k of the row's (key, index) order, a partition of the row followed by a
+    sort of its first k keys.
     """
     D = check_distance_matrix(D)
     n = D.shape[0]
@@ -142,14 +169,7 @@ def knn_graph(D, k: int, direction: str = NEAREST) -> Digraph:
         raise ValueError(f"unknown direction {direction!r}")
     if not 1 <= k <= n - 1:
         raise ValueError(f"k={k} out of range [1, {n - 1}]")
-    key = _neighbor_keys(D, direction)
-    kth = np.partition(key, k - 1, axis=1)[:, k - 1 : k].copy()
-    chosen = key < kth
-    tied = key == kth
-    del key
-    need = k - chosen.sum(axis=1, keepdims=True)
-    chosen |= tied & (np.cumsum(tied, axis=1, dtype=np.min_scalar_type(n)) <= need)
-    return Digraph(n, k, np.nonzero(chosen)[1].reshape(n, k))
+    return Digraph(n, k, _rank_table(_neighbor_keys(D, direction), k)[0])
 
 
 def kmst(D, k: int, direction: str = "min") -> list[UndirectedGraph]:
@@ -196,15 +216,24 @@ def kmst(D, k: int, direction: str = "min") -> list[UndirectedGraph]:
     return layers
 
 
-def neighbor_rank_rows(D: np.ndarray, direction: str) -> np.ndarray:
-    """Competition ranks of every candidate neighbor, per source node.
+def neighbor_rank_rows(D: np.ndarray, direction: str, width: int | None = None):
+    """Competition ranks of the candidate neighbors, per source node.
 
-    Entry (i, x) is 1 + the number of peers strictly closer to i than x
-    (strictly farther, for the farthest direction), so tied peers share a
-    rank.  One unstable sort per row computes it.  The diagonal is 0 and
-    never used.
+    The rank of peer x for node i is 1 + the number of peers strictly closer
+    to i than x (strictly farther, for the farthest direction), so tied peers
+    share a rank.
+
+    Without ``width``: the (n, n) float64 rank matrix, entry (i, x) the rank
+    of x for i, with a zero diagonal.  With ``width``: each node's first
+    ``width`` candidates in (rank, index) order, as an ``(order, ranks)``
+    pair of (n, width) arrays, intp peer indices and their float64 ranks.
+    The node itself sorts after every peer, with rank n, so it appears only
+    in the last column of a full-width table.
     """
-    ranks = _competition_ranks(_neighbor_keys(D, direction))
+    key = _neighbor_keys(D, direction)
+    if width is not None:
+        return _rank_table(key, width)
+    ranks = _competition_ranks(key)
     np.fill_diagonal(ranks, 0.0)
     return ranks
 
@@ -240,8 +269,10 @@ def robust_graph(D, k: int, lam: float, direction: str = NEAREST,
     win, ties going to the smaller rank, then to the smaller index, so tie
     resolution stays label-invariant.  A node changes its set only on strict
     improvement, so the objective decreases monotonically; sweeps stop at
-    convergence or ``max_sweeps``.  With lam = 0 the initial graph is already
-    optimal and is returned unchanged.
+    convergence or ``max_sweeps``.  A descent that stops at ``max_sweeps``
+    while its last sweep still moved a node logs a warning on the ``gitest``
+    logger.  With lam = 0 the initial graph is already optimal and is
+    returned unchanged.
 
     A node prices only a prefix of its candidates in (rank, index) order.
     Every candidate past the prefix costs at least rank + lam, the cost of an
@@ -250,6 +281,14 @@ def robust_graph(D, k: int, lam: float, direction: str = NEAREST,
     exceeds the k-th best cost inside it, the prefix holds the whole
     selection; otherwise the prefix doubles, up to all n - 1 candidates.
     Each node keeps its prefix length across sweeps.
+
+    The candidates come from a table of each node's first min(8k + 1, n) in
+    (rank, index) order (``neighbor_rank_rows`` at that width); the first
+    prefix that would read past it widens the table to full rows, once.  A
+    node's current set is held as positions in its table row, in the order
+    it was chosen, with a 0/1 membership row over those positions, so a
+    visit prices its candidates' in-degrees excluding itself without
+    touching the shared in-degrees unless the set changes.
 
     Nodes are visited in ascending order of their nearest-neighbor distance
     (ties by index), a label-invariant order: relabeling the observations
@@ -272,49 +311,59 @@ def robust_graph(D, k: int, lam: float, direction: str = NEAREST,
     profile.partition(cols - 1, axis=1)
     profile = np.sort(profile[:, :cols], axis=1)
     visit = np.lexsort(tuple(profile.T[::-1])).tolist()
-    ranks = neighbor_rank_rows(D, direction)
-    neighbors = init.out_neighbors.copy()
-    cur_rank = np.take_along_axis(ranks, neighbors, axis=1)  # in neighbors' row order
-    # candidates of each node by (rank, index), the node itself last: the
-    # ranks are integers below n, and numpy radix-sorts small integer types
-    np.fill_diagonal(ranks, n)
-    key = ranks.astype(np.min_scalar_type(n))
-    order = np.argsort(key, axis=1, kind="stable")
-    del key
-    ordrank = np.take_along_axis(ranks, order, axis=1)
-    del ranks
-    indeg = init.in_degrees().astype(np.int64)
+    width = min(8 * k + 1, n)
+    order, ranks = neighbor_rank_rows(D, direction, width)
+    # the k-NN start is the first k table columns; held in the start graph's
+    # row order (ascending index), which fixes the order its cost is summed in
+    pos = list(np.argsort(order[:, :k], axis=1))
+    member = np.zeros((n, width), dtype=np.intp)
+    member[:, :k] = 1
+    indeg = init.in_degrees().astype(np.intp)
     pen = lam * (2.0 * np.arange(n) + 1.0)  # marginal penalty, by indeg_excl
     prefix = [min(2 * k, n - 1)] * n
     for _sweep in range(max_sweeps):
         changed = False
         for i in visit:
-            cur = neighbors[i]
-            ri = ordrank[i]
-            indeg[cur] -= 1  # now indeg_excl for every candidate
+            row, ri, mem = order[i], ranks[i], member[i]
             m = prefix[i]
             while True:
-                pool = order[i, :m]
-                cost = ri[:m] + pen[indeg[pool]]
+                pool = row[:m]
+                cost = ri[:m] + pen[indeg[pool] - mem[:m]]
                 # stable: equal costs keep the pool's (rank, index) order
                 sel = cost.argsort(kind="stable")[:k]
                 if m == n - 1 or ri[m] + lam > cost[sel[-1]]:
                     break
                 m = min(2 * m, n - 1)
+                if m >= width:  # the bound needs ri[m]: widen to full rows
+                    order, ranks = _rank_table(_neighbor_keys(D, direction), n)
+                    member = np.hstack([member, np.zeros((n, n - width), dtype=np.intp)])
+                    width = n
+                    row, ri, mem = order[i], ranks[i], member[i]
             prefix[i] = m
-            new_total = float(cost[sel].sum())
-            old_total = float((cur_rank[i] + pen[indeg[cur]]).sum())
+            if np.count_nonzero(mem[sel]) == k:
+                # the same set again: both totals would sum the same k
+                # positive costs, in two orders, so they differ by at most
+                # 2(k - 1) roundings of the total, far inside the 1e-9
+                # tolerance, and the node would keep its set
+                continue
+            cur = pos[i]
+            new_total = float(np.add.reduce(cost[sel]))
+            old_total = float(np.add.reduce(cost[cur]))
             if new_total < old_total - 1e-9 * (1.0 + abs(old_total)):
-                pick = pool[sel]
-                indeg[pick] += 1
-                neighbors[i] = pick
-                cur_rank[i] = ri[sel]
+                indeg[row[cur]] -= 1
+                indeg[pool[sel]] += 1
+                mem[cur] = 0
+                mem[sel] = 1
+                pos[i] = sel
                 changed = True
-            else:
-                indeg[cur] += 1
         if not changed:
             break
-    return Digraph(n, k, neighbors)
+    else:
+        _log.warning(
+            "robust %s graph stopped at max_sweeps=%d before converging (n=%d, k=%d, lam=%g)",
+            direction, max_sweeps, n, k, lam,
+        )
+    return Digraph(n, k, np.take_along_axis(order, np.array(pos), axis=1))
 
 
 def dump_edges(G, D=None) -> str:

@@ -87,5 +87,6 @@ def center(C: ScoreMatrix) -> ScoreMatrix:
 
 def symmetrize(C: ScoreMatrix) -> ScoreMatrix:
     """Replace the matrix by the average of itself and its transpose."""
-    v = (C.values + C.values.T) / 2.0
+    v = C.values + C.values.T
+    v /= 2.0
     return ScoreMatrix(v)

@@ -22,9 +22,9 @@ from .graphs import (
     UndirectedGraph,
     _check_lam,
     _competition_ranks,
-    _neighbor_order,
     check_distance_matrix,
     kmst,
+    neighbor_rank_rows,
     pairwise_distances,
     robust_graph,
 )
@@ -146,7 +146,7 @@ def neighbor_layers(D, k: int, direction: str = NEAREST) -> list[Digraph]:
     n = D.shape[0]
     if not 1 <= k <= n - 1:
         raise ValueError(f"k={k} out of range [1, {n - 1}]")
-    order = _neighbor_order(D, direction)
+    order, _ranks = neighbor_rank_rows(D, direction, k)
     return [Digraph(n, 1, order[:, l : l + 1]) for l in range(k)]
 
 
@@ -248,4 +248,5 @@ def build_scores(Z, cfg: ScoreConfig = ScoreConfig()) -> tuple[ScoreMatrix, Scor
             bw = _median_sq_bandwidths(D, gs, gd)
             sim = kernel_scores(gs, D, SIMILARITY, bw[0])
             dis = kernel_scores(gd, D, DISSIMILARITY, bw[1])
+    del D  # one n x n array fewer while the symmetric copies are made
     return symmetrize(sim), symmetrize(dis)

@@ -1,5 +1,10 @@
 import itertools
+import logging
+import os
+import pathlib
 import re
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -324,6 +329,13 @@ class TestRobustGraphOracle:
         D = pairwise_distances(oracle_data(12, "gaussian"))
         assert_matches_reference(D, (NEAREST, FARTHEST), (1e300,), (1, 3), (1, 20))
 
+    def test_huge_lambda_widens_the_table(self):
+        # the candidate table holds 8k + 1 = 17 of 300 columns; with every
+        # cost absorbing the rank, the first prefix past it widens the table
+        # to full rows
+        D = pairwise_distances(oracle_data(300, "gaussian"))
+        assert_matches_reference(D, (NEAREST, FARTHEST), (1e300,), (2,), (1, 20))
+
     def test_non_finite_lambda(self):
         # an inf or nan penalty makes every cost inf or nan, so no move would
         # ever count as an improvement: it is refused instead
@@ -339,6 +351,96 @@ class TestRobustGraphOracle:
     def test_n1000_gaussian(self):
         D = pairwise_distances(oracle_data(1000, "gaussian"))
         assert_matches_reference(D, (NEAREST, FARTHEST), (0.3,), (31,), (20,))
+
+
+def reference_rank_table(D, direction):
+    """Every node's candidates in (rank, index) order, the node itself last
+    with rank n, and their ranks, from the reference per-row ranks."""
+    n = D.shape[0]
+    ranks = reference_neighbor_rank_rows(D, direction)
+    np.fill_diagonal(ranks, n)
+    order = np.argsort(ranks, axis=1, kind="stable")  # stable: ties -> smaller index
+    return order, np.take_along_axis(ranks, order, axis=1)
+
+
+def tie_run_crosses(D, direction, width):
+    """Whether some row's width-th and (width + 1)-th candidates are tied."""
+    ranks = reference_rank_table(D, direction)[1]
+    return width < D.shape[0] and bool((ranks[:, width - 1] == ranks[:, width]).any())
+
+
+class TestRankTable:
+    """``neighbor_rank_rows`` at a width is the first ``width`` columns of
+    the reference (rank, index) order, with the reference ranks."""
+
+    @pytest.mark.parametrize("kind", ["gaussian", "binary", "rounded", "all_ties"])
+    @pytest.mark.parametrize("n", [2, 3, 12, 50, 300])
+    def test_grid(self, n, kind):
+        D = pairwise_distances(np.eye(n) if kind == "all_ties" else oracle_data(n, kind))
+        widths = sorted({1, 2, min(8 * int(np.sqrt(n)) + 1, n), n - 1, n})
+        for direction in (NEAREST, FARTHEST):
+            want_order, want_ranks = reference_rank_table(D, direction)
+            for width in widths:
+                order, ranks = neighbor_rank_rows(D, direction, width)
+                assert ranks.dtype == np.float64
+                assert np.array_equal(order, want_order[:, :width]), (direction, width)
+                assert np.array_equal(ranks, want_ranks[:, :width]), (direction, width)
+
+    def test_tie_run_across_the_cut(self):
+        # from each end of the line, peers come in pairs at equal distance;
+        # an odd width cuts through a pair
+        D = line_distances([0, 1, -1, 2, -2, 3, -3, 4, -4, 10])
+        for direction in (NEAREST, FARTHEST):
+            want_order, want_ranks = reference_rank_table(D, direction)
+            for width in (2, 3, 4, 5):
+                order, ranks = neighbor_rank_rows(D, direction, width)
+                assert np.array_equal(order, want_order[:, :width]), (direction, width)
+                assert np.array_equal(ranks, want_ranks[:, :width]), (direction, width)
+        assert tie_run_crosses(D, NEAREST, 3) and tie_run_crosses(D, FARTHEST, 3)
+
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 25))
+    @settings(max_examples=60, deadline=None)
+    def test_small_integer_data(self, seed, n):
+        # three values per coordinate: ties everywhere, at every cut
+        r = np.random.default_rng(seed)
+        D = pairwise_distances(r.integers(0, 3, size=(n, 2)).astype(float))
+        width = int(r.integers(1, n + 1))
+        direction = NEAREST if seed % 2 else FARTHEST
+        want_order, want_ranks = reference_rank_table(D, direction)
+        order, ranks = neighbor_rank_rows(D, direction, width)
+        assert np.array_equal(order, want_order[:, :width])
+        assert np.array_equal(ranks, want_ranks[:, :width])
+
+
+class TestDescentWarning:
+    D = pairwise_distances(np.random.default_rng(50).standard_normal((50, 4)))
+
+    def test_warns_when_cut_off(self, caplog):
+        # the first sweep moves nodes, so one sweep cannot be the last
+        with caplog.at_level(logging.WARNING, logger="gitest"):
+            robust_graph(self.D, 7, 0.3, NEAREST, max_sweeps=1)
+        assert len(caplog.records) == 1
+        assert caplog.records[0].levelno == logging.WARNING
+        assert "max_sweeps=1" in caplog.records[0].getMessage()
+
+    def test_silent_when_converged(self, caplog):
+        with caplog.at_level(logging.DEBUG, logger="gitest"):
+            G = robust_graph(self.D, 7, 0.3, NEAREST)
+        assert caplog.records == []
+        # converged: two sweeps already give the same graph
+        assert np.array_equal(G.out_neighbors, robust_graph(self.D, 7, 0.3, NEAREST, 2).out_neighbors)
+
+    def test_prints_nothing_unless_logging_is_configured(self):
+        code = (
+            "import numpy as np; from gitest import pairwise_distances, robust_graph; "
+            "D = pairwise_distances(np.random.default_rng(50).standard_normal((50, 4))); "
+            "robust_graph(D, 7, 0.3, max_sweeps=1)"
+        )
+        src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env=env, check=True)
+        assert (out.stdout, out.stderr) == ("", "")
 
 
 class _UnionFind:
