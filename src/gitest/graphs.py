@@ -294,12 +294,12 @@ def robust_graph(D, k: int, lam: float, direction: str = NEAREST,
     (ties by index), a label-invariant order: relabeling the observations
     relabels the result without changing which local optimum is found.
     """
-    D = check_distance_matrix(D)
     _check_lam(lam)
     if max_sweeps < 1:
         raise ValueError("max_sweeps must be positive")
+    init = knn_graph(D, k, direction)  # validates D
+    D = np.asarray(D, dtype=np.float64)
     n = D.shape[0]
-    init = knn_graph(D, k, direction)
     if lam == 0.0:
         return init
     # label-invariant visit order: sort by the smallest distances to peers.

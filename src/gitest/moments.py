@@ -1,14 +1,20 @@
 """Generalized correlations and their exact permutation-null moments.
 
-Four sums pair the X-side score matrices with the Y-side ones:
+Each sample brings a (dissimilarity, similarity) pair of score matrices,
+(dx, sx) for X and (dy, sy) for Y.  Statistic s = 0..3 pairs X-side matrix
+s // 2 with Y-side matrix s % 2:
 
     T1 = sum_{i != j} DX_ij DY_ij        T2 = sum_{i != j} DX_ij SY_ij
     T3 = sum_{i != j} SX_ij DY_ij        T4 = sum_{i != j} SX_ij SY_ij
 
 Under a uniformly random relabeling of the Y sample the mean and covariance
-of (T1..T4) have closed forms in the scalar summaries of the score matrices;
-``brute_force_moments`` provides the exhaustive-enumeration oracle for them.
-All formulas require symmetric matrices with zero diagonals.
+of (T1..T4) have closed forms that factor into per-sample summaries: the
+grand sums of the sample's two matrices and the 2x2 tables of their cross
+summaries c2 and c3 (``matrixcore.cross_summarize``).  ``null_moments``
+computes them once per sample and expands them to the four statistics by the
+pairing index; ``diagnostics`` does the same on the centered matrices.
+``brute_force_moments`` provides the exhaustive-enumeration oracle.  All
+formulas require symmetric matrices with zero diagonals.
 """
 
 from __future__ import annotations
@@ -25,16 +31,14 @@ from .matrixcore import ScoreMatrix, center, cross_summarize
 #: eigenvalues below RANK_TOL times the largest count as zero
 RANK_TOL = 1e-10
 
-_PAIR_A = ("dx", "dx", "sx", "sx")
-_PAIR_B = ("dy", "sy", "dy", "sy")
+#: the module docstring's pairing as index arrays: statistic s's X-side and
+#: Y-side matrix, which enumerate (dx, sx) x (dy, sy) in order
+_X_SIDE, _Y_SIDE = np.divmod(np.arange(4), 2)
 
 
 @dataclass(frozen=True)
 class QuadrupleInputs:
-    """The four score matrices, with the fixed pairing map
-
-    A(1) = A(2) = dx,  A(3) = A(4) = sx,  B(1) = B(3) = dy,  B(2) = B(4) = sy.
-    """
+    """The four score matrices: each sample's similarity and dissimilarity."""
 
     sx: ScoreMatrix
     dx: ScoreMatrix
@@ -52,12 +56,6 @@ class QuadrupleInputs:
     @property
     def n(self) -> int:
         return self.sx.n
-
-    def a_matrix(self, s: int) -> ScoreMatrix:
-        return getattr(self, _PAIR_A[s - 1])
-
-    def b_matrix(self, s: int) -> ScoreMatrix:
-        return getattr(self, _PAIR_B[s - 1])
 
 
 @dataclass(frozen=True)
@@ -78,8 +76,8 @@ class NullMoments:
 
 
 def _cross_sums(dx: np.ndarray, sx: np.ndarray, dy: np.ndarray, sy: np.ndarray) -> np.ndarray:
-    """(T1..T4) of the four score arrays, paired as in ``_PAIR_A``/``_PAIR_B``."""
-    return np.array([(dx * dy).sum(), (dx * sy).sum(), (sx * dy).sum(), (sx * sy).sum()])
+    """(T1..T4) of the four score arrays, in pairing order."""
+    return np.array([(a * b).sum() for a in (dx, sx) for b in (dy, sy)])
 
 
 def t_stats(q: QuadrupleInputs) -> np.ndarray:
@@ -87,7 +85,33 @@ def t_stats(q: QuadrupleInputs) -> np.ndarray:
     return _cross_sums(q.dx.values, q.sx.values, q.dy.values, q.sy.values)
 
 
-def _cov_from_summaries(a1, a1p, a2, a3, b1, b1p, b2, b3, n: int) -> float:
+def _pair_tables(f) -> tuple[np.ndarray, np.ndarray]:
+    """The symmetric 2x2 tables of the two numbers ``f(i, j)`` returns for
+    each pair i <= j of a sample's (dissimilarity, similarity) matrices."""
+    t2, t3 = np.empty((2, 2)), np.empty((2, 2))
+    for i, j in ((0, 0), (0, 1), (1, 1)):
+        v2, v3 = f(i, j)
+        t2[i, j] = t2[j, i] = v2
+        t3[i, j] = t3[j, i] = v3
+    return t2, t3
+
+
+def _sample_summaries(d: ScoreMatrix, s: ScoreMatrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One sample's grand sums (2,) and 2x2 ``c2`` and ``c3`` tables over its
+    (dissimilarity, similarity) pair."""
+    pair = (d, s)
+
+    def cross(i: int, j: int) -> tuple[float, float]:
+        cb = cross_summarize(pair[i], pair[j])
+        return cb.c2, cb.c3
+
+    c2, c3 = _pair_tables(cross)
+    return np.array([m.values.sum() for m in pair]), c2, c3
+
+
+def _cov_from_summaries(a1, a1p, a2, a3, b1, b1p, b2, b3, n: int):
+    """Null covariance of two statistics from their sides' grand sums (a1, a1p;
+    b1, b1p) and cross summaries c2 (a2, b2) and c3 (a3, b3); elementwise on arrays."""
     da3 = a3 - a1 * a1p / n
     db3 = b3 - b1 * b1p / n
     da2 = a2 - a1 * a1p / (n * (n - 1))
@@ -114,35 +138,20 @@ def _spectral_rank(mu: np.ndarray, sigma: np.ndarray) -> NullMoments:
 def null_moments(q: QuadrupleInputs) -> NullMoments:
     """Mean vector and covariance matrix of (T1..T4) under the null.
 
-    Summaries are computed once per unordered matrix pair, since they are
-    symmetric in their arguments; the ten unique covariance entries are
-    mirrored into the symmetric 4x4 matrix.
+    The covariance formula is evaluated elementwise on the two samples'
+    summaries, each expanded to 4x4 by its side of the pairing; the result
+    is exactly symmetric.
     """
     n = q.n
     if n < 4:
         raise StructuralError(f"null moments need n >= 4, got n={n}")
-    A = [q.a_matrix(s) for s in (1, 2, 3, 4)]
-    B = [q.b_matrix(s) for s in (1, 2, 3, 4)]
-    totals_a = [float(m.values.sum()) for m in A]
-    totals_b = [float(m.values.sum()) for m in B]
-    mu = np.array([totals_a[s] * totals_b[s] / (n * (n - 1)) for s in range(4)])
-
-    cross = {
-        frozenset(pair): cross_summarize(getattr(q, pair[0]), getattr(q, pair[1]))
-        for side in (("dx", "sx"), ("dy", "sy"))
-        for pair in itertools.combinations_with_replacement(side, 2)
-    }
-
-    sigma = np.empty((4, 4))
-    for s in range(4):
-        for sp in range(s, 4):
-            ca = cross[frozenset((_PAIR_A[s], _PAIR_A[sp]))]
-            cb = cross[frozenset((_PAIR_B[s], _PAIR_B[sp]))]
-            val = _cov_from_summaries(
-                totals_a[s], totals_a[sp], ca.c2, ca.c3,
-                totals_b[s], totals_b[sp], cb.c2, cb.c3, n,
-            )
-            sigma[s, sp] = sigma[sp, s] = val
+    tx, c2x, c3x = _sample_summaries(q.dx, q.sx)
+    ty, c2y, c3y = _sample_summaries(q.dy, q.sy)
+    X, Y = np.ix_(_X_SIDE, _X_SIDE), np.ix_(_Y_SIDE, _Y_SIDE)
+    ax, ay = tx[_X_SIDE], ty[_Y_SIDE]
+    mu = ax * ay / (n * (n - 1))
+    sigma = _cov_from_summaries(ax[:, None], ax, c2x[X], c3x[X],
+                                ay[:, None], ay, c2y[Y], c3y[Y], n)
     return _spectral_rank(mu, sigma)
 
 
@@ -171,11 +180,13 @@ def brute_force_moments(q: QuadrupleInputs) -> NullMoments:
 class DiagnosticsReport:
     """Raw finite-n quantities behind the normality and invertibility theory.
 
-    All summaries are computed on the centered matrices.  ``gram2`` is the
-    Gram matrix of the four unit-normalized flattened A-matrices tensored
-    with their B counterparts; ``gram3`` the analogue built from row-sum
-    vectors.  ``variance_regime_ratio`` compares the entrywise variance
-    proxy 2 n^-2 A2 B2 against the row-sum proxy 4 n^-3 A3 B3 per statistic.
+    All summaries are computed on the centered matrices.  Side "A" holds each
+    statistic's X-side matrix and side "B" its Y-side one; keys "s" and "ss'"
+    name statistics 1..4 (s <= s').  ``gram2`` is the Gram matrix of the four
+    unit-normalized flattened A-matrices tensored with their B counterparts;
+    ``gram3`` the analogue built from row-sum vectors.
+    ``variance_regime_ratio`` compares the entrywise variance proxy
+    2 n^-2 A2 B2 against the row-sum proxy 4 n^-3 A3 B3 per statistic.
     ``sigma_rank`` and ``sigma_condition`` are the rank and condition
     estimate of the null covariance, as ``null_moments`` reports them.
     """
@@ -212,77 +223,51 @@ class DiagnosticsReport:
         return {f.name: clean(getattr(self, f.name)) for f in fields(self)}
 
 
+def _unit_diagonal(t: np.ndarray) -> np.ndarray:
+    """``t`` scaled to t_ij / sqrt(t_ii t_jj); zero where a diagonal entry is not positive."""
+    d = np.diagonal(t)
+    return np.divide(t, np.sqrt(np.outer(d, d)), out=np.zeros(t.shape),
+                     where=(d[:, None] > 0) & (d > 0))
+
+
 def diagnostics(q: QuadrupleInputs) -> DiagnosticsReport:
     """Summaries, Gram spectra and variance-regime ratios for the inputs."""
-    A = [center(q.a_matrix(s)) for s in (1, 2, 3, 4)]
-    B = [center(q.b_matrix(s)) for s in (1, 2, 3, 4)]
-    sides = {"A": A, "B": B}
-
-    c0_plus: dict = {"A": {}, "B": {}}
-    c1_plus: dict = {"A": {}, "B": {}}
-    for side, mats in sides.items():
-        for s, m in enumerate(mats, start=1):
-            absv = np.abs(m.values)
-            c0_plus[side][str(s)] = float(absv.max())
-            c1_plus[side][str(s)] = float(absv.sum(axis=1).max())
-
-    c2: dict = {"A": {}, "B": {}}
-    c2_plus: dict = {"A": {}, "B": {}}
-    c3: dict = {"A": {}, "B": {}}
-    c3_plus: dict = {"A": {}, "B": {}}
-    cross = {"A": {}, "B": {}}
-    for side, mats in sides.items():
-        for s in range(1, 5):
-            for sp in range(s, 5):
-                a, b = mats[s - 1], mats[sp - 1]
-                cb = cross_summarize(a, b)
-                cross[side][(s, sp)] = cb
-                key = f"{s}{sp}"
-                c2[side][key] = cb.c2
-                c2_plus[side][key] = float(np.abs(a.values * b.values).sum())
-                c3[side][key] = cb.c3
-                c3_plus[side][key] = float(
-                    (np.abs(a.values).sum(axis=1) * np.abs(b.values).sum(axis=1)).sum())
-
-    degenerate = []
-    for side in ("A", "B"):
-        for s in range(1, 5):
-            if cross[side][(s, s)].c2 == 0.0:
-                degenerate.append(f"{side}{s}: zero entrywise normalizer")
-            if cross[side][(s, s)].c3 == 0.0:
-                degenerate.append(f"{side}{s}: zero row-sum normalizer")
-
-    def gram(which: str) -> np.ndarray:
-        g = np.zeros((4, 4))
-        for s in range(1, 5):
-            for sp in range(s, 5):
-                val = 1.0
-                for side in ("A", "B"):
-                    num = getattr(cross[side][(s, sp)], which)
-                    d1 = getattr(cross[side][(s, s)], which)
-                    d2 = getattr(cross[side][(sp, sp)], which)
-                    val *= num / math.sqrt(d1 * d2) if d1 > 0 and d2 > 0 else 0.0
-                g[s - 1, sp - 1] = g[sp - 1, s - 1] = val
-        return g
-
-    gram2 = gram("c2")
-    gram3 = gram("c3")
     n = q.n
+    report = {name: {} for name in ("c0_plus", "c1_plus", "c2", "c2_plus", "c3", "c3_plus")}
+    tables, degenerate = {}, []
+    for side, pick, pair in (("A", _X_SIDE, (q.dx, q.sx)), ("B", _Y_SIDE, (q.dy, q.sy))):
+        pair = [center(m) for m in pair]
+        _, c2, c3 = _sample_summaries(*pair)
+        absv = [np.abs(m.values) for m in pair]
+        rows = [a.sum(axis=1) for a in absv]
+        c2_plus, c3_plus = _pair_tables(
+            lambda i, j: ((absv[i] * absv[j]).sum(), (rows[i] * rows[j]).sum()))
+        report["c0_plus"][side] = {str(s + 1): float(absv[m].max()) for s, m in enumerate(pick)}
+        report["c1_plus"][side] = {str(s + 1): float(rows[m].max()) for s, m in enumerate(pick)}
+        for name, t in (("c2", c2), ("c2_plus", c2_plus), ("c3", c3), ("c3_plus", c3_plus)):
+            report[name][side] = {f"{s + 1}{sp + 1}": float(t[pick[s], pick[sp]])
+                                  for s in range(4) for sp in range(s, 4)}
+        for s, m in enumerate(pick, start=1):
+            if c2[m, m] == 0.0:
+                degenerate.append(f"{side}{s}: zero entrywise normalizer")
+            if c3[m, m] == 0.0:
+                degenerate.append(f"{side}{s}: zero row-sum normalizer")
+        grid = np.ix_(pick, pick)
+        tables[side] = c2[grid], c3[grid]
+
+    (a2, a3), (b2, b3) = tables["A"], tables["B"]
+    gram2 = _unit_diagonal(a2) * _unit_diagonal(b2)
+    gram3 = _unit_diagonal(a3) * _unit_diagonal(b3)
     ratio = {}
-    for s in range(1, 5):
-        num = 2.0 * cross["A"][(s, s)].c2 * cross["B"][(s, s)].c2 / n**2
-        den = 4.0 * cross["A"][(s, s)].c3 * cross["B"][(s, s)].c3 / n**3
-        ratio[str(s)] = num / den if den > 0 else math.inf
+    for s in range(4):
+        num = 2.0 * a2[s, s] * b2[s, s] / n**2
+        den = 4.0 * a3[s, s] * b3[s, s] / n**3
+        ratio[str(s + 1)] = float(num / den) if den > 0 else math.inf
 
     moments = null_moments(q)
     return DiagnosticsReport(
         n=n,
-        c0_plus=c0_plus,
-        c1_plus=c1_plus,
-        c2=c2,
-        c2_plus=c2_plus,
-        c3=c3,
-        c3_plus=c3_plus,
+        **report,
         gram2=gram2,
         gram3=gram3,
         gram2_eigenvalues=np.linalg.eigvalsh(gram2),

@@ -293,6 +293,13 @@ def _p_value_for(x, y, cfg, method, n_perm, rep_master, threads) -> float:
     raise ValueError(f"unknown method {method!r}")
 
 
+def _check_run(reps: int, level: float) -> None:
+    if reps < 1:
+        raise ValueError("reps must be positive")
+    if not 0 < level <= 1:
+        raise ValueError("level must lie in (0, 1]")
+
+
 def estimate_power(spec: SettingSpec, cfg: ScoreConfig = ScoreConfig(),
                    method="analytic", reps: int = 200, level: float = 0.05,
                    n_perm: int = 500, threads: int = 1) -> PowerEstimate:
@@ -301,10 +308,7 @@ def estimate_power(spec: SettingSpec, cfg: ScoreConfig = ScoreConfig(),
     ``method`` is "analytic", "permutation", or a callable
     ``(x, y, seed) -> p_value`` for plugging in an external test.
     """
-    if reps < 1:
-        raise ValueError("reps must be positive")
-    if not 0 < level <= 1:
-        raise ValueError("level must lie in (0, 1]")
+    _check_run(reps, level)
     start = time.perf_counter()
     rejections = 0
     for r in range(reps):
@@ -339,8 +343,7 @@ def k_sweep(spec: SettingSpec, alphas, reps: int = 200, cfg: ScoreConfig = Score
 def component_power(spec: SettingSpec, reps: int = 200, cfg: ScoreConfig = ScoreConfig(),
                     level: float = 0.05) -> dict[str, float]:
     """Rejection rates of the four standardized components and the full test."""
-    if reps < 1:
-        raise ValueError("reps must be positive")
+    _check_run(reps, level)
     counts = {name: 0 for name in ("RG1", "RG2", "RG3", "RG4", "GIT")}
     for r in range(reps):
         rep_master = derive_seed(spec.seed, r)

@@ -10,7 +10,7 @@ import sys
 import numpy as np
 import pytest
 
-from gitest import graphs, inference, scores
+from gitest import graphs, inference, moments, scores
 
 PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -31,16 +31,22 @@ def test_every_layer_call_resolves_to_a_callable(layers):
         assert callable(getattr(module, attr, None)), f"{module.__name__}.{attr} ({name})"
 
 
+def _count_calls(monkeypatch, module, attrs) -> dict:
+    """Wrap ``module.<attr>`` for each attr with a call counter."""
+    calls = dict.fromkeys(attrs, 0)
+    for attr in calls:
+        def counted(*args, _fn=getattr(module, attr), _attr=attr, **kwargs):
+            calls[_attr] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(module, attr, counted)
+    return calls
+
+
 @pytest.mark.parametrize("direction", ["nearest", "farthest"])
 def test_robust_graph_calls_its_builders_through_the_module(direction, monkeypatch):
     # the traced benchmark requires the graphs.knn_graph and
     # graphs.neighbor_rank_rows spans inside every robust_graph call
-    calls = {"knn_graph": 0, "neighbor_rank_rows": 0}
-    for attr in calls:
-        def counted(*args, _fn=getattr(graphs, attr), _attr=attr, **kwargs):
-            calls[_attr] += 1
-            return _fn(*args, **kwargs)
-        monkeypatch.setattr(graphs, attr, counted)
+    calls = _count_calls(monkeypatch, graphs, ["knn_graph", "neighbor_rank_rows"])
     D = graphs.pairwise_distances(np.random.default_rng(0).standard_normal((20, 3)))
     graphs.robust_graph(D, 4, 0.3, direction)
     assert calls == {"knn_graph": 1, "neighbor_rank_rows": 1}
@@ -49,15 +55,28 @@ def test_robust_graph_calls_its_builders_through_the_module(direction, monkeypat
 def test_kmst_scores_call_their_builders_through_the_module(monkeypatch):
     # the traced monte_carlo run requires the graphs.kmst and
     # scores.graph_rank_scores spans of its kmst configuration
-    calls = {"kmst": 0, "graph_rank_scores": 0}
-    for attr in calls:
-        def counted(*args, _fn=getattr(scores, attr), _attr=attr, **kwargs):
-            calls[_attr] += 1
-            return _fn(*args, **kwargs)
-        monkeypatch.setattr(scores, attr, counted)
+    calls = _count_calls(monkeypatch, scores, ["kmst", "graph_rank_scores"])
     x = np.random.default_rng(0).standard_normal((20, 3))
     scores.build_scores(x, scores.ScoreConfig(scheme="graph_rank", graph_family="kmst"))
     assert calls == {"kmst": 2, "graph_rank_scores": 2}
+
+
+def test_null_moments_calls_cross_summarize_through_the_module(monkeypatch):
+    # the traced benchmark requires the matrixcore.cross_summarize span inside
+    # null_moments: three pairs of each sample's two matrices
+    calls = _count_calls(monkeypatch, moments, ["cross_summarize"])
+    q = inference.quadruple_from_samples(*np.random.default_rng(0).standard_normal((2, 20, 3)))
+    moments.null_moments(q)
+    assert calls == {"cross_summarize": 6}
+
+
+def test_git_test_calls_its_moments_through_the_module(monkeypatch):
+    # the traced benchmark requires the moments.null_moments and
+    # moments.t_stats spans, which it records on the inference module
+    calls = _count_calls(monkeypatch, inference, ["null_moments", "t_stats"])
+    q = inference.quadruple_from_samples(*np.random.default_rng(0).standard_normal((2, 20, 3)))
+    inference.git_test(q)
+    assert calls == {"null_moments": 1, "t_stats": 1}
 
 
 def test_calls_the_benchmark_makes_by_keyword():

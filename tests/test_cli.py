@@ -235,6 +235,10 @@ class TestCmdGraph:
     ["test", "--lambda", "inf"],
     ["graph", "--lambda", "nan"],
     ["graph", "--lambda", "inf"],
+    ["simulate", "--setting", "s5_1", "--n", "10", "--p", "2", "--reps", "1",
+     "--components", "--level", "0"],
+    ["simulate", "--setting", "s5_1", "--n", "10", "--p", "2", "--reps", "1",
+     "--components", "--level", "1.5"],
 ])
 def test_invalid_flag_value_is_usage_error(argv, tmp_path, rng, capsys):
     # samples of n=30 rows: --k 40 exceeds n - 1, and --k 20 exceeds the 15

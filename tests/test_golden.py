@@ -40,6 +40,7 @@ GOLDEN = {
     "test-kernel_weight-knn": "ec46d1fa4807ed8de1ced06d0c80bb1954c568706150b8288c9ef7a5f33f51c2",
     "test-graph_rank-kmst": "1cbdf8b0b50bf589355f8fcae9c0b5d80ecb95fe33e7cd0acf062cef5e1c5d46",
     "diagnose": "2ab8293a1da7aa0acccb411b5802b884d911d56def929853eadb55f7eba878cc",
+    "diagnose-kernel_weight-knn": "4d76532d7a1faa9eccd5e384d9b50d9581a347ebb54cb0e225d7bea89a79f5fb",
     "graph-knn": "c459ddef31febc4f41e6f8fbb169777f7524f95c847f5f78f6dedb94a7e54e2c",
     "graph-kfp": "ecfab0d5febab026ab3b9fb09412d4e5c1781030cc3ca03e1fe76adde268fc1c",
     "graph-kmst": "9c8c9c96d054ce3194349d68b215b876bfc394bf0196b367a79a7e7e3224b6a0",
@@ -68,6 +69,9 @@ def _argv(case, px, py):
         return test + ["--format", case[len("test-"):]]
     if case == "diagnose":
         return ["diagnose", "--x", px, "--y", py]
+    if case == "diagnose-kernel_weight-knn":
+        # real-valued scores, where the summation order shows in the last digits
+        return ["diagnose", "--x", px, "--y", py, "--scheme", "kernel_weight", "--graph", "knn"]
     name = case[len("graph-"):]
     # at n=30 only three maximal spanning trees are edge-disjoint
     k = ["--k", "3"] if name in ("kmst", "kmaxst") else []

@@ -206,6 +206,33 @@ class TestRobustGraph:
             robust_graph(line_distances([0, 1, 3]), 1, -0.1)
 
 
+def _broken_distances(defect):
+    D = line_distances([0, 1, 3, 7])
+    if defect == "non-square":
+        return D[:, :3]
+    if defect == "asymmetric":
+        D[0, 1] += 0.5
+    elif defect == "nonzero diagonal":
+        D[0, 0] = 1.0
+    else:
+        D[0, 1] = D[1, 0] = {"negative": -1.0, "non-finite": np.inf}[defect]
+    return D
+
+
+@pytest.mark.parametrize("defect", ["non-square", "negative", "non-finite", "asymmetric",
+                                    "nonzero diagonal"])
+@pytest.mark.parametrize("build", [
+    lambda D: knn_graph(D, 1),
+    lambda D: robust_graph(D, 1, 0.0),
+    lambda D: robust_graph(D, 1, 0.3),
+    lambda D: kmst(D, 1),
+    lambda D: robust_objective(D, knn_graph(line_distances([0, 1, 3, 7]), 1), 0.3),
+], ids=["knn_graph", "robust_graph-lam0", "robust_graph-lam0.3", "kmst", "robust_objective"])
+def test_builders_reject_a_broken_distance_matrix(build, defect):
+    with pytest.raises(StructuralError):
+        build(_broken_distances(defect))
+
+
 def reference_neighbor_rank_rows(D, direction):
     """Competition ranks as first written: one row at a time."""
     n = D.shape[0]

@@ -1,10 +1,14 @@
+import itertools
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gitest.errors import StructuralError
-from gitest.matrixcore import ScoreMatrix, center
+from gitest.inference import quadruple_from_samples
+from gitest.matrixcore import ScoreMatrix, center, cross_summarize
 from gitest.moments import (
     QuadrupleInputs,
     brute_force_moments,
@@ -12,6 +16,7 @@ from gitest.moments import (
     null_moments,
     t_stats,
 )
+from gitest.scores import ScoreConfig
 
 from conftest import make_quadruple, random_symmetric_scores
 
@@ -104,8 +109,6 @@ class TestNullMoments:
         assert m.rank == 1
 
     def test_identical_scores_rank_deficient(self, rng):
-        from gitest.inference import quadruple_from_samples
-
         q = quadruple_from_samples(rng.standard_normal((40, 6)), rng.standard_normal((40, 6)))
         same = QuadrupleInputs(sx=q.sx, dx=q.sx, sy=q.sy, dy=q.sy)
         assert null_moments(same).rank < 4
@@ -142,6 +145,87 @@ class TestNullMoments:
         scale = np.array([c, 1.0, c, 1.0])
         assert np.allclose(m2.mu, scale * m1.mu, rtol=1e-12)
         assert np.allclose(m2.sigma, np.outer(scale, scale) * m1.sigma, rtol=1e-9, atol=1e-12)
+
+
+_PAIR_A = ("dx", "dx", "sx", "sx")
+_PAIR_B = ("dy", "sy", "dy", "sy")
+
+
+def _loop_cov_from_summaries(a1, a1p, a2, a3, b1, b1p, b2, b3, n: int) -> float:
+    da3 = a3 - a1 * a1p / n
+    db3 = b3 - b1 * b1p / n
+    da2 = a2 - a1 * a1p / (n * (n - 1))
+    db2 = b2 - b1 * b1p / (n * (n - 1))
+    return (
+        4.0 * (n + 1) * da3 * db3 / (n * (n - 1) * (n - 2) * (n - 3))
+        + 2.0 * da2 * db2 / (n * (n - 3))
+        - 4.0 * da2 * db3 / (n * (n - 2) * (n - 3))
+        - 4.0 * da3 * db2 / (n * (n - 2) * (n - 3))
+    )
+
+
+def loop_null_moments(q):
+    """(mu, sigma) by the scalar formula, one covariance entry at a time, with
+    the pairing spelled out per statistic: the reference the vectorised
+    ``null_moments`` must reproduce bit for bit."""
+    n = q.n
+    A = [getattr(q, _PAIR_A[s]) for s in range(4)]
+    B = [getattr(q, _PAIR_B[s]) for s in range(4)]
+    totals_a = [float(m.values.sum()) for m in A]
+    totals_b = [float(m.values.sum()) for m in B]
+    mu = np.array([totals_a[s] * totals_b[s] / (n * (n - 1)) for s in range(4)])
+
+    cross = {
+        frozenset(pair): cross_summarize(getattr(q, pair[0]), getattr(q, pair[1]))
+        for side in (("dx", "sx"), ("dy", "sy"))
+        for pair in itertools.combinations_with_replacement(side, 2)
+    }
+
+    sigma = np.empty((4, 4))
+    for s in range(4):
+        for sp in range(s, 4):
+            ca = cross[frozenset((_PAIR_A[s], _PAIR_A[sp]))]
+            cb = cross[frozenset((_PAIR_B[s], _PAIR_B[sp]))]
+            val = _loop_cov_from_summaries(
+                totals_a[s], totals_a[sp], ca.c2, ca.c3,
+                totals_b[s], totals_b[sp], cb.c2, cb.c3, n,
+            )
+            sigma[s, sp] = sigma[sp, s] = val
+    return mu, sigma
+
+
+def _float_scores(rng, n):
+    """Symmetric zero-diagonal scores of random sign, magnitudes 1e-3..1e3."""
+    M = rng.choice([-1.0, 1.0], size=(n, n)) * 10.0 ** rng.uniform(-3, 3, size=(n, n))
+    M = np.triu(M, 1)
+    return ScoreMatrix(M + M.T)
+
+
+class TestNullMomentsOracle:
+    @staticmethod
+    def assert_bitwise(q):
+        mu, sigma = loop_null_moments(q)
+        m = null_moments(q)
+        assert np.array_equal(m.mu, mu)
+        assert np.array_equal(m.sigma, sigma)
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(4, 40), seed=st.integers(0, 2**32 - 1))
+    def test_float_quadruples(self, n, seed):
+        rng = np.random.default_rng(seed)
+        self.assert_bitwise(quadruple_from([_float_scores(rng, n) for _ in range(4)]))
+
+    @pytest.mark.parametrize("scheme, graph", [
+        ("adjacency", "knn"), ("distance_weight", "knn"), ("kernel_weight", "knn"),
+        ("graph_rank", "knn"), ("graph_rank", "kmst"), ("robust_rank", "robust_knn"),
+    ])
+    @pytest.mark.parametrize("n", [12, 37, 79])
+    def test_sample_quadruples(self, scheme, graph, n):
+        rng = np.random.default_rng(n)
+        x = rng.standard_normal((n, 4))
+        y = x[:, :2] ** 2 + rng.standard_normal((n, 2))
+        cfg = ScoreConfig(scheme=scheme, graph_family=graph, k=3)
+        self.assert_bitwise(quadruple_from_samples(x, y, cfg))
 
 
 class TestBruteForce:
@@ -199,8 +283,6 @@ class TestDiagnostics:
         assert np.allclose(r1.gram3, r2.gram3, rtol=1e-12)
 
     def test_robust_config_inputs_have_positive_gram_eigenvalues(self, rng):
-        from gitest.inference import quadruple_from_samples
-
         x = rng.standard_normal((30, 5))
         y = rng.standard_normal((30, 5))
         rep = diagnostics(quadruple_from_samples(x, y))

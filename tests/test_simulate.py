@@ -202,6 +202,11 @@ class TestComponentPower:
         assert set(table) == {"RG1", "RG2", "RG3", "RG4", "GIT"}
         assert all(0.0 <= v <= 1.0 for v in table.values())
 
+    @pytest.mark.parametrize("level", [0.0, 1.5])
+    def test_rejects_level_outside_unit_interval(self, level):
+        with pytest.raises(ValueError, match="level"):
+            component_power(SettingSpec(id="s5_1", n=10, p=2, seed=0), reps=1, level=level)
+
 
 @pytest.mark.slow
 class TestNullCalibration:
