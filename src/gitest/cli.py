@@ -192,6 +192,7 @@ def cmd_simulate(args) -> int:
     )
     if args.sweep_alphas and args.components:
         raise UsageError("--sweep-alphas and --components are separate reports; pick one")
+    threads = _threads(args)  # checked on every report, used by the power estimate
     if args.sweep_alphas:
         alphas = [float(a) for a in args.sweep_alphas.split(",")]
         rows = sim.k_sweep(spec, alphas, reps=args.reps, level=args.level, method=args.method)
@@ -213,7 +214,7 @@ def cmd_simulate(args) -> int:
             sys.stdout.write(sim.tidy_csv(tidy))
         return EXIT_OK
     est = sim.estimate_power(spec, method=args.method, reps=args.reps,
-                             level=args.level, threads=_threads(args))
+                             level=args.level, threads=threads)
     if args.plot_data:
         sys.stdout.write(sim.tidy_csv(sim.tidy_from_estimate(est)))
     elif args.format == "json":

@@ -1,11 +1,9 @@
 """Score matrices and the scalar summaries consumed by the moment formulas.
 
-A score matrix is an n-by-n real matrix with an exactly-zero diagonal; the
-``sx``, ``dx``, ``sy`` and ``dy`` fields of ``moments.QuadrupleInputs`` say
-which ones hold similarities and which dissimilarities.  All reductions go
-through ``numpy.sum``, whose pairwise (tree) accumulation keeps results
-deterministic and bounds error growth on the large cancelling sums the
-covariance formulas feed on.  Matrices are frozen after construction, so
+A score matrix is an n-by-n real matrix with an exactly-zero diagonal.  All
+reductions go through ``numpy.sum``, whose pairwise (tree) accumulation keeps
+results deterministic and bounds error growth on the large cancelling sums
+the covariance formulas feed on.  Matrices are frozen after construction, so
 concurrent reads are safe.
 """
 
@@ -16,9 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import StructuralError
-
-SIMILARITY = "similarity"
-DISSIMILARITY = "dissimilarity"
 
 
 @dataclass(frozen=True)

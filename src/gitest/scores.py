@@ -28,9 +28,7 @@ from .graphs import (
     pairwise_distances,
     robust_graph,
 )
-from .matrixcore import DISSIMILARITY, SIMILARITY, ScoreMatrix, symmetrize
-
-SCHEMES = ("adjacency", "distance_weight", "kernel_weight", "graph_rank", "robust_rank")
+from .matrixcore import ScoreMatrix, symmetrize
 
 #: graph name -> builder (D, k, lam) -> edge-disjoint layers whose union is the
 #: graph.  The builders look the constructors up in this module at call time,
@@ -44,6 +42,20 @@ GRAPHS = {
     "robust_kfp": lambda D, k, lam: [robust_graph(D, k, lam, FARTHEST)],
 }
 FAMILIES = tuple(GRAPHS)
+
+#: scheme name -> writer (layers, D, direction) -> the unsymmetrized scores of
+#: one graph; the NEAREST graph of a pair is its similarity side.  Like
+#: GRAPHS, the writers are looked up in this module at call time
+WRITERS = {
+    "adjacency": lambda layers, D, direction: adjacency_scores(union_graph(layers)),
+    "distance_weight": lambda layers, D, direction: distance_weight_scores(
+        union_graph(layers), D, direction),
+    "kernel_weight": lambda layers, D, direction: kernel_scores(union_graph(layers), D, direction),
+    "graph_rank": lambda layers, D, direction: graph_rank_scores(layers),
+    "robust_rank": lambda layers, D, direction: robust_rank_scores(
+        union_graph(layers), D, direction),
+}
+SCHEMES = tuple(WRITERS)
 
 # the (similarity graph, dissimilarity graph) pairs; either name selects its pair
 _PAIRS = (("knn", "kfp"), ("kmst", "kmaxst"), ("robust_knn", "robust_kfp"))
@@ -59,7 +71,7 @@ class ScoreConfig:
 
     k may be an explicit neighbor count or "auto" for floor(sqrt(n)).
     ``lam`` is the hub penalty of the robust graphs.  The kernel scheme's
-    squared bandwidths come from a median heuristic over the graph edges.
+    squared bandwidth on each graph is the median squared length of its edges.
     """
 
     scheme: str = "robust_rank"
@@ -107,13 +119,14 @@ def adjacency_scores(G) -> ScoreMatrix:
     return ScoreMatrix(M)
 
 
-def distance_weight_scores(G, D, role: str) -> ScoreMatrix:
-    """Reciprocal distances on similarity edges, raw distances on dissimilarity edges."""
+def distance_weight_scores(G, D, direction: str) -> ScoreMatrix:
+    """Reciprocal distances on a nearest graph's edges (similarities), raw
+    distances on a farthest graph's edges (dissimilarities)."""
     D = check_distance_matrix(D)
     rows, cols = _directed_cells(G)
     d = D[rows, cols]
     M = np.zeros((G.n, G.n))
-    if role == SIMILARITY:
+    if direction == NEAREST:
         zero = d == 0.0
         if zero.any():
             t = int(np.argmax(zero))
@@ -125,18 +138,24 @@ def distance_weight_scores(G, D, role: str) -> ScoreMatrix:
     return ScoreMatrix(M)
 
 
-def kernel_scores(G, D, role: str, bandwidth: float) -> ScoreMatrix:
-    """Gaussian kernel weights: decaying on similarity edges, growing on
-    dissimilarity edges.  ``bandwidth`` is the squared scale."""
-    if bandwidth <= 0:
-        raise ValueError(f"bandwidth must be positive, got {bandwidth}")
+def kernel_scores(G, D, direction: str) -> ScoreMatrix:
+    """Gaussian kernel weights: decaying on a nearest graph's edges, growing
+    on a farthest graph's.  The squared bandwidth is the median squared edge
+    length of ``G``; a zero median raises DegenerateDataError."""
     D = check_distance_matrix(D)
-    sign = -1.0 if role == SIMILARITY else 1.0
+    sign = -1.0 if direction == NEAREST else 1.0
     rows, cols = _directed_cells(G)
+    # numpy-scalar squares through math.exp, one cell at a time: np.exp and
+    # the array square round some cells differently
+    sq = [d ** 2 for d in D[rows, cols]]
+    bandwidth = float(np.median(sq))
+    if bandwidth == 0.0:
+        raise DegenerateDataError(
+            f"kernel bandwidth is zero: over half the {direction} graph's edges "
+            "join coincident observations"
+        )
     M = np.zeros((G.n, G.n))
-    # math.exp of numpy-scalar squares, one cell at a time: np.exp and the
-    # array square round some cells differently
-    M[rows, cols] = [math.exp(sign * d ** 2 / (2.0 * bandwidth)) for d in D[rows, cols]]
+    M[rows, cols] = [math.exp(sign * s / (2.0 * bandwidth)) for s in sq]
     return ScoreMatrix(M)
 
 
@@ -193,15 +212,6 @@ def robust_rank_scores(G: Digraph, D, direction: str = NEAREST) -> ScoreMatrix:
     return ScoreMatrix(M)
 
 
-def _median_sq_bandwidths(D: np.ndarray, gs, gd) -> tuple[float, float]:
-    """Median squared edge distance per graph, squared one numpy scalar at a
-    time as ``kernel_scores`` does."""
-    def med(G):
-        return float(np.median([d ** 2 for d in D[_directed_cells(G)]]))
-
-    return med(gs), med(gd)
-
-
 def union_graph(layers):
     """One graph holding the edges of all ``layers``, all of one type."""
     if len(layers) == 1:
@@ -227,26 +237,11 @@ def build_scores(Z, cfg: ScoreConfig = ScoreConfig()) -> tuple[ScoreMatrix, Scor
         raise DegenerateDataError("all pairwise distances are zero: the sample is constant")
     k = cfg.resolve_k(Z.shape[0])
     sim_name, dis_name = _pair(cfg.graph_family)
+    # both graphs before either score matrix: a robust graph's set-up holds
+    # n x n arrays of its own
     sim_layers = GRAPHS[sim_name](D, k, cfg.lam)
     dis_layers = GRAPHS[dis_name](D, k, cfg.lam)
-
-    if cfg.scheme == "graph_rank":
-        sim = graph_rank_scores(sim_layers)
-        dis = graph_rank_scores(dis_layers)
-    else:
-        gs, gd = union_graph(sim_layers), union_graph(dis_layers)
-        if cfg.scheme == "robust_rank":
-            sim = robust_rank_scores(gs, D, NEAREST)
-            dis = robust_rank_scores(gd, D, FARTHEST)
-        elif cfg.scheme == "adjacency":
-            sim = adjacency_scores(gs)
-            dis = adjacency_scores(gd)
-        elif cfg.scheme == "distance_weight":
-            sim = distance_weight_scores(gs, D, SIMILARITY)
-            dis = distance_weight_scores(gd, D, DISSIMILARITY)
-        else:
-            bw = _median_sq_bandwidths(D, gs, gd)
-            sim = kernel_scores(gs, D, SIMILARITY, bw[0])
-            dis = kernel_scores(gd, D, DISSIMILARITY, bw[1])
+    write = WRITERS[cfg.scheme]
+    sim, dis = write(sim_layers, D, NEAREST), write(dis_layers, D, FARTHEST)
     del D  # one n x n array fewer while the symmetric copies are made
     return symmetrize(sim), symmetrize(dis)

@@ -101,6 +101,17 @@ class TestCmdTest:
                         "--graph", "knn"]) == 2
         assert "zero distance between observations 2 and 5" in capsys.readouterr().err
 
+    def test_zero_median_kernel_bandwidth_exit_2(self, tmp_path, rng, capsys):
+        # five distinct rows, six copies each: all k = 5 nearest neighbours of
+        # a row are its copies, so the median squared edge length is zero
+        x = np.repeat(rng.standard_normal((5, 3)), 6, axis=0)
+        px = write_csv(tmp_path / "x.csv", x)
+        py = write_csv(tmp_path / "y.csv", rng.standard_normal((30, 3)))
+        assert cli.main(["test", "--x", px, "--y", py, "--scheme", "kernel_weight",
+                        "--graph", "knn"]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("gitest: error: kernel bandwidth is zero")
+
     def test_threads_env_fallback(self, gaussian_pair, capsys, monkeypatch):
         px, py, _, _ = gaussian_pair
         monkeypatch.setenv("GITEST_THREADS", "2")
@@ -124,6 +135,18 @@ class TestCmdSimulate:
         second = capsys.readouterr().out
         assert first == second
         assert first.startswith("setting,n,p,reps,level,method,power,runtime_seconds\n")
+
+    @pytest.mark.parametrize("report", [
+        ["--setting", "s5_1", "--n", "10", "--p", "2", "--components"],
+        ["--setting", "tune_i", "--n", "50", "--sweep-alphas", "0.5"],
+        ["--setting", "s5_1", "--n", "10", "--p", "2"],
+    ], ids=["components", "sweep", "power"])
+    def test_malformed_threads_env_is_data_error(self, report, capsys, monkeypatch):
+        monkeypatch.setenv("GITEST_THREADS", "abc")
+        assert cli.main(["simulate", "--reps", "1"] + report) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.splitlines() == ["gitest: error: GITEST_THREADS is not an integer: 'abc'"]
 
     def test_zero_reps_usage_error(self, capsys):
         assert cli.main(["simulate", "--setting", "s5_1", "--reps", "0"]) == 64

@@ -39,6 +39,9 @@ GOLDEN = {
     "test-csv": "c54affe983ec4bf25663f2a0439a3d36e241b33c70982e0726294d8fbda39438",
     "test-kernel_weight-knn": "ec46d1fa4807ed8de1ced06d0c80bb1954c568706150b8288c9ef7a5f33f51c2",
     "test-graph_rank-kmst": "1cbdf8b0b50bf589355f8fcae9c0b5d80ecb95fe33e7cd0acf062cef5e1c5d46",
+    "test-adjacency-robust_knn": "a15d7069f62242d7a596b7a165ece05fcc1efbe38fd3c399c9d34a10c95b54b2",
+    "test-distance_weight-kmst": "767962465b8f20f412ab7f7794b2bed9fd407015525dfd0082d954268f1f5f5e",
+    "test-graph_rank-knn": "65ad94477f234db8db7a3f633618163e07660059686bd2b96edc8c5f427d82af",
     "diagnose": "2ab8293a1da7aa0acccb411b5802b884d911d56def929853eadb55f7eba878cc",
     "diagnose-kernel_weight-knn": "4d76532d7a1faa9eccd5e384d9b50d9581a347ebb54cb0e225d7bea89a79f5fb",
     "graph-knn": "c459ddef31febc4f41e6f8fbb169777f7524f95c847f5f78f6dedb94a7e54e2c",
@@ -61,10 +64,11 @@ def _argv(case, px, py):
     if case == "simulate-sweep":
         return ["simulate", "--setting", "tune_i", "--n", "50", "--reps", "5", "--seed", "7",
                 "--sweep-alphas", "0.3,0.6"]
-    if case == "test-kernel_weight-knn":
-        return test + ["--scheme", "kernel_weight", "--graph", "knn"]
-    if case == "test-graph_rank-kmst":
-        return test + ["--scheme", "graph_rank", "--graph", "kmst", "--k", "3"]
+    if case.startswith("test-") and case.count("-") == 2:
+        _, scheme, graph = case.split("-")
+        # at n=30 the kmst pair holds only three edge-disjoint maximal trees
+        k = ["--k", "3"] if graph == "kmst" else []
+        return test + ["--scheme", scheme, "--graph", graph] + k
     if case.startswith("test-"):
         return test + ["--format", case[len("test-"):]]
     if case == "diagnose":

@@ -16,11 +16,9 @@ from gitest.graphs import (
     pairwise_distances,
     robust_graph,
 )
-from gitest.matrixcore import DISSIMILARITY, SIMILARITY
 from gitest.scores import (
     GRAPHS,
     ScoreConfig,
-    _median_sq_bandwidths,
     adjacency_scores,
     build_scores,
     distance_weight_scores,
@@ -90,8 +88,8 @@ class TestDistanceWeight:
         Z = np.array([[0.0], [2.0], [10.0], [20.0]])
         D = pairwise_distances(Z)
         G = knn_graph(D, 1, NEAREST)
-        sim = distance_weight_scores(G, D, SIMILARITY)
-        dis = distance_weight_scores(G, D, DISSIMILARITY)
+        sim = distance_weight_scores(G, D, NEAREST)
+        dis = distance_weight_scores(G, D, FARTHEST)
         assert sim.values[0, 1] == 0.5
         assert dis.values[0, 1] == 2.0
 
@@ -100,51 +98,56 @@ class TestDistanceWeight:
         D = pairwise_distances(Z)
         G = knn_graph(D, 1, NEAREST)
         with pytest.raises(DegenerateDataError, match="0 and 1"):
-            distance_weight_scores(G, D, SIMILARITY)
+            distance_weight_scores(G, D, NEAREST)
         # the dissimilarity side tolerates duplicates
-        distance_weight_scores(G, D, DISSIMILARITY)
+        distance_weight_scores(G, D, FARTHEST)
 
     def test_zero_distance_reports_the_first_pair(self, rng):
         Z = rng.standard_normal((8, 3))
         Z[5] = Z[2]
         D = pairwise_distances(Z)
         with pytest.raises(DegenerateDataError, match="observations 2 and 5 on a similarity"):
-            distance_weight_scores(knn_graph(D, 1), D, SIMILARITY)
+            distance_weight_scores(knn_graph(D, 1), D, NEAREST)
         # a spanning tree takes the zero-length edge (2, 5) first
         with pytest.raises(DegenerateDataError, match="observations 2 and 5 on a similarity"):
-            distance_weight_scores(kmst(D, 1)[0], D, SIMILARITY)
+            distance_weight_scores(kmst(D, 1)[0], D, NEAREST)
 
 
 class TestKernel:
     def test_closed_form_values(self):
-        sigma_sq = 2.0
-        d = math.sqrt(2 * sigma_sq)
+        d = 1.5
         Z = np.array([[0.0], [d], [5 * d], [9 * d]])
         D = pairwise_distances(Z)
         G = knn_graph(D, 1, NEAREST)
-        sim = kernel_scores(G, D, SIMILARITY, sigma_sq)
-        dis = kernel_scores(G, D, DISSIMILARITY, sigma_sq)
-        assert sim.values[0, 1] == pytest.approx(math.exp(-1), rel=1e-12)
-        assert dis.values[0, 1] == pytest.approx(math.e, rel=1e-12)
+        # edges 0->1, 1->0, 2->1, 3->2 have lengths d, d, 4d, 4d: the squared
+        # bandwidth is the median of d^2, d^2, 16 d^2, 16 d^2, which is 8.5 d^2
+        sim = kernel_scores(G, D, NEAREST)
+        dis = kernel_scores(G, D, FARTHEST)
+        assert sim.values[0, 1] == pytest.approx(math.exp(-1 / 17), rel=1e-12)
+        assert dis.values[0, 1] == pytest.approx(math.exp(1 / 17), rel=1e-12)
+        assert sim.values[3, 2] == pytest.approx(math.exp(-16 / 17), rel=1e-12)
 
     def test_zero_distance_gives_one(self):
         Z = np.array([[1.0], [1.0], [5.0], [9.0]])
         D = pairwise_distances(Z)
         G = knn_graph(D, 1, NEAREST)
-        assert kernel_scores(G, D, SIMILARITY, 1.0).values[0, 1] == 1.0
+        assert kernel_scores(G, D, NEAREST).values[0, 1] == 1.0
 
     def test_rejects_bad_bandwidth(self):
-        D = pairwise_distances(LINE)
+        # three of the five edges join coincident observations: the median
+        # squared edge length, the squared bandwidth, is zero
+        D = pairwise_distances(np.array([[1.0], [1.0], [1.0], [5.0], [9.0]]))
         G = knn_graph(D, 1, NEAREST)
-        with pytest.raises(ValueError):
-            kernel_scores(G, D, SIMILARITY, 0.0)
+        for direction in (NEAREST, FARTHEST):
+            with pytest.raises(DegenerateDataError, match="bandwidth is zero"):
+                kernel_scores(G, D, direction)
 
     def test_monotone_in_distance(self, rng):
         Z = rng.standard_normal((12, 3))
         D = pairwise_distances(Z)
         G = knn_graph(D, 11, NEAREST)
-        sim = kernel_scores(G, D, SIMILARITY, 1.3)
-        dis = kernel_scores(G, D, DISSIMILARITY, 1.3)
+        sim = kernel_scores(G, D, NEAREST)
+        dis = kernel_scores(G, D, FARTHEST)
         pairs = [(i, j) for i in range(12) for j in range(12) if i != j]
         for a in pairs:
             for b in pairs:
@@ -154,22 +157,27 @@ class TestKernel:
 
 
 class TestKernelBits:
-    """Each kernel value and bandwidth is the math.exp of a numpy-scalar
-    square, bit for bit: np.exp and array squares round some cells
-    differently, and the golden digests do not notice."""
+    """Each kernel value is the math.exp of a numpy-scalar square over the
+    median of those squares, bit for bit: np.exp and array squares round
+    some cells differently, and the golden digests do not notice."""
 
     @pytest.mark.parametrize("names", [("knn", "kfp"), ("kmst", "kmaxst")])
     def test_exact_values(self, names):
         D = pairwise_distances(np.random.default_rng(60).standard_normal((60, 5)))
         k = ScoreConfig().resolve_k(60)
         pair = [union_graph(GRAPHS[name](D, k, 0.0)) for name in names]
-        bws = _median_sq_bandwidths(D, *pair)
-        for G, role, sign, bw in zip(pair, (SIMILARITY, DISSIMILARITY), (-1.0, 1.0), bws):
+        for G, direction, sign in zip(pair, (NEAREST, FARTHEST), (-1.0, 1.0)):
             cells = list(zip(*np.nonzero(adjacency_scores(G).values)))
-            assert bw == float(np.median([D[i, j] ** 2 for i, j in cells]))
-            M = kernel_scores(G, D, role, bw).values
-            for i, j in cells:
-                assert M[i, j] == math.exp(sign * D[i, j] ** 2 / (2 * bw)), (role, i, j)
+            bw = float(np.median([D[i, j] ** 2 for i, j in cells]))
+            M = kernel_scores(G, D, direction).values
+
+            def kernel(bandwidth):
+                return [math.exp(sign * D[i, j] ** 2 / (2 * bandwidth)) for i, j in cells]
+
+            assert [M[c] for c in cells] == kernel(bw), direction
+            # the values pin the bandwidth bit for bit: one ulp either way moves some
+            for off in (-np.inf, np.inf):
+                assert [M[c] for c in cells] != kernel(np.nextafter(bw, off)), direction
 
 
 class TestGraphRank:
