@@ -117,8 +117,12 @@ def _rank_table(key: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray]:
     smallest and the keys equal to it in index order, then sorts them
     stably.  Every key strictly smaller than a table entry is in the table
     too, so the rank of an entry is 1 + the position where its run of equal
-    keys starts.
+    keys starts.  A table narrower than the rows is built in blocks of 128
+    rows, so the partition's index array is (128, n), not n x n.
     """
+    if width < key.shape[1] and len(key) > 128:
+        parts = [_rank_table(key[s:s + 128], width) for s in range(0, len(key), 128)]
+        return np.vstack([p[0] for p in parts]), np.vstack([p[1] for p in parts])
     order = np.argpartition(key, width - 1, axis=1)[:, :width]
     run = np.take_along_axis(key, order, axis=1)
     srt = np.argsort(run, axis=1)

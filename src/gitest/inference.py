@@ -143,14 +143,10 @@ def _permutation_p(q: QuadrupleInputs, observed: GitResult, n_perm: int, seed: i
     """``permutation_test`` with ``observed = git_test(q)`` already computed."""
     if n_perm < 1:
         raise ValueError("n_perm must be positive")
-    n = q.n
-    dx, sx = q.dx.values, q.sx.values
-    dy, sy = q.dy.values, q.sy.values
+    y_at = tuple(m.dense().ravel().take for m in (q.dy, q.sy))
 
     def exceeds(b: int) -> int:
-        perm = substream(seed, b).permutation(n)
-        ix = np.ix_(perm, perm)
-        t = _cross_sums(dx, sx, dy[ix], sy[ix])
+        t = _cross_sums(q, substream(seed, b).permutation(q.n), y_at)
         return int(_quadratic_form(t, observed.moments) >= observed.statistic)
 
     if threads > 1:

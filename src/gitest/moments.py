@@ -50,7 +50,9 @@ class QuadrupleInputs:
         if len({m.n for m in mats}) != 1:
             raise StructuralError("all four score matrices must share one n")
         for name, m in zip(("sx", "dx", "sy", "dy"), mats):
-            if not np.array_equal(m.values, m.values.T):
+            transposed = m.cols * m.n + m.rows
+            t = np.argsort(transposed)  # symmetric: the transpose has the same cells and values
+            if not (np.array_equal(transposed[t], m.keys) and np.array_equal(m.values[t], m.values)):
                 raise StructuralError(f"{name} must be symmetric; symmetrize it first")
 
     @property
@@ -75,37 +77,30 @@ class NullMoments:
     eigvecs: np.ndarray
 
 
-def _cross_sums(dx: np.ndarray, sx: np.ndarray, dy: np.ndarray, sy: np.ndarray) -> np.ndarray:
-    """(T1..T4) of the four score arrays, in pairing order."""
-    return np.array([(a * b).sum() for a in (dx, sx) for b in (dy, sy)])
+def _cross_sums(q: QuadrupleInputs, perm: np.ndarray | None = None, y_at=None) -> np.ndarray:
+    """(T1..T4) in pairing order with the Y sample relabeled by ``perm``:
+    T = sum_ij A_ij B_{perm(i) perm(j)}, over the stored cells of A.  ``y_at``
+    holds dy's and sy's lookups of cells i * n + j: by default ScoreMatrix.at,
+    for many relabelings the ``take`` of flat dense copies, several times faster."""
+    t = []
+    for a in (q.dx, q.sx):
+        cells = a.keys if perm is None else perm[a.rows] * q.n + perm[a.cols]
+        t += [(a.values * at(cells)).sum() for at in y_at or (q.dy.at, q.sy.at)]
+    return np.array(t)
 
 
 def t_stats(q: QuadrupleInputs) -> np.ndarray:
     """The observed four generalized correlations, in pairing order."""
-    return _cross_sums(q.dx.values, q.sx.values, q.dy.values, q.sy.values)
-
-
-def _pair_tables(f) -> tuple[np.ndarray, np.ndarray]:
-    """The symmetric 2x2 tables of the two numbers ``f(i, j)`` returns for
-    each pair i <= j of a sample's (dissimilarity, similarity) matrices."""
-    t2, t3 = np.empty((2, 2)), np.empty((2, 2))
-    for i, j in ((0, 0), (0, 1), (1, 1)):
-        v2, v3 = f(i, j)
-        t2[i, j] = t2[j, i] = v2
-        t3[i, j] = t3[j, i] = v3
-    return t2, t3
+    return _cross_sums(q)
 
 
 def _sample_summaries(d: ScoreMatrix, s: ScoreMatrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One sample's grand sums (2,) and 2x2 ``c2`` and ``c3`` tables over its
-    (dissimilarity, similarity) pair."""
+    """One sample's grand sums (2,) and symmetric 2x2 ``c2`` and ``c3`` tables
+    over its (dissimilarity, similarity) pair."""
     pair = (d, s)
-
-    def cross(i: int, j: int) -> tuple[float, float]:
-        cb = cross_summarize(pair[i], pair[j])
-        return cb.c2, cb.c3
-
-    c2, c3 = _pair_tables(cross)
+    c2, c3 = np.empty((2, 2)), np.empty((2, 2))
+    for i, j in ((0, 0), (0, 1), (1, 1)):
+        c2[i, j], c3[i, j] = c2[j, i], c3[j, i] = cross_summarize(pair[i], pair[j])
     return np.array([m.values.sum() for m in pair]), c2, c3
 
 
@@ -163,14 +158,11 @@ def brute_force_moments(q: QuadrupleInputs) -> NullMoments:
     n = q.n
     if n > 8:
         raise ValueError(f"enumeration over {n}! permutations refused (n <= 8)")
-    dx, sx = q.dx.values, q.sx.values
-    dy, sy = q.dy.values, q.sy.values
     n_perm = math.factorial(n)
+    y_at = tuple(m.dense().ravel().take for m in (q.dy, q.sy))
     T = np.empty((n_perm, 4))
     for idx, pi in enumerate(itertools.permutations(range(n))):
-        p = np.asarray(pi)
-        ix = np.ix_(p, p)
-        T[idx] = _cross_sums(dx, sx, dy[ix], sy[ix])
+        T[idx] = _cross_sums(q, np.asarray(pi), y_at)
     mu = T.mean(axis=0)
     dev = T - mu
     return _spectral_rank(mu, dev.T @ dev / n_perm)
@@ -238,12 +230,12 @@ def diagnostics(q: QuadrupleInputs) -> DiagnosticsReport:
     for side, pick, pair in (("A", _X_SIDE, (q.dx, q.sx)), ("B", _Y_SIDE, (q.dy, q.sy))):
         pair = [center(m) for m in pair]
         _, c2, c3 = _sample_summaries(*pair)
-        absv = [np.abs(m.values) for m in pair]
-        rows = [a.sum(axis=1) for a in absv]
-        c2_plus, c3_plus = _pair_tables(
-            lambda i, j: ((absv[i] * absv[j]).sum(), (rows[i] * rows[j]).sum()))
-        report["c0_plus"][side] = {str(s + 1): float(absv[m].max()) for s, m in enumerate(pick)}
-        report["c1_plus"][side] = {str(s + 1): float(rows[m].max()) for s, m in enumerate(pick)}
+        absv = [ScoreMatrix(m.n, m.rows, m.cols, np.abs(m.values)) for m in pair]
+        _, c2_plus, c3_plus = _sample_summaries(*absv)
+        report["c0_plus"][side] = {str(s + 1): float(absv[m].values.max(initial=0.0))
+                                   for s, m in enumerate(pick)}
+        report["c1_plus"][side] = {str(s + 1): float(absv[m].row_sums.max())
+                                   for s, m in enumerate(pick)}
         for name, t in (("c2", c2), ("c2_plus", c2_plus), ("c3", c3), ("c3_plus", c3_plus)):
             report[name][side] = {f"{s + 1}{sp + 1}": float(t[pick[s], pick[sp]])
                                   for s in range(4) for sp in range(s, 4)}

@@ -114,9 +114,8 @@ def _directed_cells(G) -> tuple[np.ndarray, np.ndarray]:
 
 def adjacency_scores(G) -> ScoreMatrix:
     """0/1 matrix marking graph edges."""
-    M = np.zeros((G.n, G.n))
-    M[_directed_cells(G)] = 1.0
-    return ScoreMatrix(M)
+    rows, cols = _directed_cells(G)
+    return ScoreMatrix(G.n, rows, cols, np.ones(len(rows)))
 
 
 def distance_weight_scores(G, D, direction: str) -> ScoreMatrix:
@@ -125,7 +124,6 @@ def distance_weight_scores(G, D, direction: str) -> ScoreMatrix:
     D = check_distance_matrix(D)
     rows, cols = _directed_cells(G)
     d = D[rows, cols]
-    M = np.zeros((G.n, G.n))
     if direction == NEAREST:
         zero = d == 0.0
         if zero.any():
@@ -134,8 +132,7 @@ def distance_weight_scores(G, D, direction: str) -> ScoreMatrix:
                 f"zero distance between observations {rows[t]} and {cols[t]} on a similarity edge"
             )
         d = 1.0 / d
-    M[rows, cols] = d
-    return ScoreMatrix(M)
+    return ScoreMatrix(G.n, rows, cols, d)
 
 
 def kernel_scores(G, D, direction: str) -> ScoreMatrix:
@@ -154,9 +151,7 @@ def kernel_scores(G, D, direction: str) -> ScoreMatrix:
             f"kernel bandwidth is zero: over half the {direction} graph's edges "
             "join coincident observations"
         )
-    M = np.zeros((G.n, G.n))
-    M[rows, cols] = [math.exp(sign * s / (2.0 * bandwidth)) for s in sq]
-    return ScoreMatrix(M)
+    return ScoreMatrix(G.n, rows, cols, [math.exp(sign * s / (2.0 * bandwidth)) for s in sq])
 
 
 def neighbor_layers(D, k: int, direction: str = NEAREST) -> list[Digraph]:
@@ -181,17 +176,12 @@ def graph_rank_scores(layers) -> ScoreMatrix:
         raise StructuralError("at least one layer required")
     k = len(layers)
     n = layers[0].n
-    M = np.zeros((n, n))
-    for l, layer in enumerate(layers, start=1):
-        if layer.n != n:
-            raise StructuralError("layers disagree on node count")
-        rows, cols = _directed_cells(layer)
-        taken = M[rows, cols] != 0.0
-        if taken.any():
-            t = int(np.argmax(taken))
-            raise StructuralError(f"edge ({rows[t]},{cols[t]}) appears in more than one layer")
-        M[rows, cols] = k - l + 1
-    return ScoreMatrix(M)
+    if any(layer.n != n for layer in layers):
+        raise StructuralError("layers disagree on node count")
+    cells = [_directed_cells(layer) for layer in layers]
+    rows, cols = (np.concatenate(side) for side in zip(*cells))
+    values = np.repeat(np.arange(k, 0, -1.0), [len(r) for r, _ in cells])
+    return ScoreMatrix(n, rows, cols, values)
 
 
 def robust_rank_scores(G: Digraph, D, direction: str = NEAREST) -> ScoreMatrix:
@@ -204,12 +194,11 @@ def robust_rank_scores(G: Digraph, D, direction: str = NEAREST) -> ScoreMatrix:
     """
     D = check_distance_matrix(D)
     sign = 1.0 if direction == NEAREST else -1.0
-    rows = np.arange(G.n)[:, None]
-    M = np.zeros((G.n, G.n))
+    rows, cols = _directed_cells(G)
     # an edge scores the number of the node's edge keys at least its own,
     # which is k + 1 - its competition rank
-    M[rows, G.out_neighbors] = G.k + 1 - _competition_ranks(sign * D[rows, G.out_neighbors])
-    return ScoreMatrix(M)
+    ranks = _competition_ranks(sign * D[rows, cols].reshape(G.n, G.k))
+    return ScoreMatrix(G.n, rows, cols, G.k + 1 - ranks.ravel())
 
 
 def union_graph(layers):
@@ -237,11 +226,7 @@ def build_scores(Z, cfg: ScoreConfig = ScoreConfig()) -> tuple[ScoreMatrix, Scor
         raise DegenerateDataError("all pairwise distances are zero: the sample is constant")
     k = cfg.resolve_k(Z.shape[0])
     sim_name, dis_name = _pair(cfg.graph_family)
-    # both graphs before either score matrix: a robust graph's set-up holds
-    # n x n arrays of its own
     sim_layers = GRAPHS[sim_name](D, k, cfg.lam)
     dis_layers = GRAPHS[dis_name](D, k, cfg.lam)
     write = WRITERS[cfg.scheme]
-    sim, dis = write(sim_layers, D, NEAREST), write(dis_layers, D, FARTHEST)
-    del D  # one n x n array fewer while the symmetric copies are made
-    return symmetrize(sim), symmetrize(dis)
+    return symmetrize(write(sim_layers, D, NEAREST)), symmetrize(write(dis_layers, D, FARTHEST))

@@ -4,12 +4,19 @@ import pytest
 from gitest.matrixcore import ScoreMatrix
 
 
+def dense_scores(M):
+    """The score matrix of a dense array: its nonzero cells."""
+    M = np.asarray(M, dtype=float)
+    rows, cols = np.nonzero(M)
+    return ScoreMatrix(M.shape[0], rows, cols, M[rows, cols])
+
+
 def random_symmetric_scores(rng, n, low=-3, high=3):
     """Integer-valued symmetric score matrix with a zero diagonal."""
     M = rng.integers(low, high + 1, size=(n, n)).astype(float)
     M = np.triu(M, 1)
     M = M + M.T
-    return ScoreMatrix(M)
+    return dense_scores(M)
 
 
 @pytest.fixture

@@ -37,13 +37,13 @@ GOLDEN = {
     "test-json": "c515eb887a6f67d68faa7184129a74f788449051837b6d3f9fa7a8966e085af5",
     "test-table": "0f17ff51b80dff812816290f7956d545532b7727d15e05670837dc0a2af7fbc3",
     "test-csv": "c54affe983ec4bf25663f2a0439a3d36e241b33c70982e0726294d8fbda39438",
-    "test-kernel_weight-knn": "ec46d1fa4807ed8de1ced06d0c80bb1954c568706150b8288c9ef7a5f33f51c2",
+    "test-kernel_weight-knn": "e12447163805b6d42afe2db9e8e7ad03ee8e1aadf1b1f8148c92b559ce9b745f",
     "test-graph_rank-kmst": "1cbdf8b0b50bf589355f8fcae9c0b5d80ecb95fe33e7cd0acf062cef5e1c5d46",
     "test-adjacency-robust_knn": "a15d7069f62242d7a596b7a165ece05fcc1efbe38fd3c399c9d34a10c95b54b2",
-    "test-distance_weight-kmst": "767962465b8f20f412ab7f7794b2bed9fd407015525dfd0082d954268f1f5f5e",
+    "test-distance_weight-kmst": "ae57fb3013adc785d77edf42c95994fe913548f3e56c1b098afc8c96317f6cf4",
     "test-graph_rank-knn": "65ad94477f234db8db7a3f633618163e07660059686bd2b96edc8c5f427d82af",
-    "diagnose": "2ab8293a1da7aa0acccb411b5802b884d911d56def929853eadb55f7eba878cc",
-    "diagnose-kernel_weight-knn": "4d76532d7a1faa9eccd5e384d9b50d9581a347ebb54cb0e225d7bea89a79f5fb",
+    "diagnose": "55365e799d67ea367aa9a6b387c8ec9dec6d70811a4d286975f84b9a04473196",
+    "diagnose-kernel_weight-knn": "8b2fa2e9c88865a6333e5248b7a5d7710bb091cdefb3f08bb3995d49ce78a5aa",
     "graph-knn": "c459ddef31febc4f41e6f8fbb169777f7524f95c847f5f78f6dedb94a7e54e2c",
     "graph-kfp": "ecfab0d5febab026ab3b9fb09412d4e5c1781030cc3ca03e1fe76adde268fc1c",
     "graph-kmst": "9c8c9c96d054ce3194349d68b215b876bfc394bf0196b367a79a7e7e3224b6a0",

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,10 +16,9 @@ from gitest.inference import (
     run_test,
     standard_normal_cdf,
 )
-from gitest.matrixcore import ScoreMatrix
 from gitest.moments import QuadrupleInputs, null_moments
 
-from conftest import make_quadruple
+from conftest import dense_scores, make_quadruple
 
 
 def chi4_closed_form(x):
@@ -103,8 +103,8 @@ def disjoint_support_quadruple():
     dy = sym([((0, 3), 1.0), ((1, 2), -1.0)])
     sy = sym([((0, 4), 1.0), ((3, 4), -1.0)])
     return QuadrupleInputs(
-        sx=ScoreMatrix(sx), dx=ScoreMatrix(dx),
-        sy=ScoreMatrix(sy), dy=ScoreMatrix(dy),
+        sx=dense_scores(sx), dx=dense_scores(dx),
+        sy=dense_scores(sy), dy=dense_scores(dy),
     )
 
 
@@ -120,7 +120,7 @@ class TestGitTest:
         assert res.moments.rank == 4
         q2 = QuadrupleInputs(
             sx=q.sx, dx=q.dx, sy=q.sy,
-            dy=ScoreMatrix(4.0 * q.dy.values),
+            dy=dense_scores(4.0 * q.dy.dense()),
         )
         res2 = git_test(q2)
         assert res2.statistic == pytest.approx(res.statistic, rel=1e-9)
@@ -151,7 +151,7 @@ class TestGitTest:
         assert res.statistic == pytest.approx(pinv, rel=1e-9)
 
     def test_degenerate_inputs_rejected(self):
-        ones = ScoreMatrix(1.0 - np.eye(5))
+        ones = dense_scores(1.0 - np.eye(5))
         q = QuadrupleInputs(sx=ones, dx=ones, sy=ones, dy=ones)
         with pytest.raises(DegenerateDataError):
             git_test(q)
@@ -282,3 +282,20 @@ class TestRunTest:
     def test_misaligned_samples_rejected(self, rng):
         with pytest.raises(Exception, match="paired samples must align"):
             run_test(rng.standard_normal((10, 2)), rng.standard_normal((11, 2)))
+
+    def test_memory_peak_holds_no_dense_score_matrix(self):
+        # the scores live on graph edges, so the peak is the graph phase's own
+        # n x n arrays (4.3 x 8n^2 bytes with numpy 2.4); dense score matrices
+        # and their symmetric copies peaked at 7.1 x 8n^2
+        n = 400
+        rng = np.random.default_rng(0)
+        x = rng.standard_normal((n, 50))
+        y = np.log(np.abs(x)) + rng.standard_normal((n, 50))
+        run_test(x[:40], y[:40])  # imports and caches outside the trace
+        tracemalloc.start()
+        try:
+            run_test(x, y)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4.5 * 8 * n * n

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from gitest.errors import StructuralError
 from gitest.inference import quadruple_from_samples
-from gitest.matrixcore import ScoreMatrix, center, cross_summarize
+from gitest.matrixcore import center, cross_summarize
 from gitest.moments import (
     QuadrupleInputs,
     brute_force_moments,
@@ -18,11 +18,11 @@ from gitest.moments import (
 )
 from gitest.scores import ScoreConfig
 
-from conftest import make_quadruple, random_symmetric_scores
+from conftest import dense_scores, make_quadruple, random_symmetric_scores
 
 
 def ones_matrix(n):
-    return ScoreMatrix(1.0 - np.eye(n))
+    return dense_scores(1.0 - np.eye(n))
 
 
 def quadruple_from(mats):
@@ -36,7 +36,7 @@ class TestTStats:
         assert np.array_equal(t_stats(q), [6, 6, 6, 6])
 
     def test_zero_matrix_zeroes_components(self):
-        z = ScoreMatrix(np.zeros((3, 3)))
+        z = dense_scores(np.zeros((3, 3)))
         q = quadruple_from([ones_matrix(3), z, ones_matrix(3), ones_matrix(3)])
         # dx = 0 kills T1 (dx*dy) and T2 (dx*sy)
         assert np.array_equal(t_stats(q), [0, 0, 6, 6])
@@ -45,13 +45,13 @@ class TestTStats:
         dx = np.zeros((3, 3)); dx[0, 1] = dx[1, 0] = 2.0
         dy = np.zeros((3, 3)); dy[0, 1] = dy[1, 0] = 3.0
         q = quadruple_from([
-            ones_matrix(3), ScoreMatrix(dx),
-            ones_matrix(3), ScoreMatrix(dy),
+            ones_matrix(3), dense_scores(dx),
+            ones_matrix(3), dense_scores(dy),
         ])
         assert t_stats(q)[0] == 12.0
 
     def test_requires_symmetry(self):
-        asym = ScoreMatrix([[0.0, 1.0], [0.0, 0.0]])
+        asym = dense_scores([[0.0, 1.0], [0.0, 0.0]])
         sym = ones_matrix(2)
         with pytest.raises(StructuralError, match="symmetr"):
             quadruple_from([asym, sym, sym, sym])
@@ -127,8 +127,8 @@ class TestNullMoments:
         ix = np.ix_(perm, perm)
         q2 = QuadrupleInputs(
             sx=q.sx, dx=q.dx,
-            sy=ScoreMatrix(q.sy.values[ix]),
-            dy=ScoreMatrix(q.dy.values[ix]),
+            sy=dense_scores(q.sy.dense()[ix]),
+            dy=dense_scores(q.dy.dense()[ix]),
         )
         m1, m2 = null_moments(q), null_moments(q2)
         assert np.allclose(m1.mu, m2.mu, rtol=1e-12, atol=1e-12)
@@ -139,7 +139,7 @@ class TestNullMoments:
         c = 3.5
         q2 = QuadrupleInputs(
             sx=q.sx, dx=q.dx, sy=q.sy,
-            dy=ScoreMatrix(c * q.dy.values),
+            dy=dense_scores(c * q.dy.dense()),
         )
         m1, m2 = null_moments(q), null_moments(q2)
         scale = np.array([c, 1.0, c, 1.0])
@@ -187,8 +187,8 @@ def loop_null_moments(q):
             ca = cross[frozenset((_PAIR_A[s], _PAIR_A[sp]))]
             cb = cross[frozenset((_PAIR_B[s], _PAIR_B[sp]))]
             val = _loop_cov_from_summaries(
-                totals_a[s], totals_a[sp], ca.c2, ca.c3,
-                totals_b[s], totals_b[sp], cb.c2, cb.c3, n,
+                totals_a[s], totals_a[sp], *ca,
+                totals_b[s], totals_b[sp], *cb, n,
             )
             sigma[s, sp] = sigma[sp, s] = val
     return mu, sigma
@@ -198,7 +198,7 @@ def _float_scores(rng, n):
     """Symmetric zero-diagonal scores of random sign, magnitudes 1e-3..1e3."""
     M = rng.choice([-1.0, 1.0], size=(n, n)) * 10.0 ** rng.uniform(-3, 3, size=(n, n))
     M = np.triu(M, 1)
-    return ScoreMatrix(M + M.T)
+    return dense_scores(M + M.T)
 
 
 class TestNullMomentsOracle:
@@ -275,7 +275,7 @@ class TestDiagnostics:
     def test_positive_scaling_leaves_grams_unchanged(self, rng):
         q = make_quadruple(rng, 10)
         q2 = QuadrupleInputs(
-            sx=ScoreMatrix(2.0 * q.sx.values),
+            sx=dense_scores(2.0 * q.sx.dense()),
             dx=q.dx, sy=q.sy, dy=q.dy,
         )
         r1, r2 = diagnostics(q), diagnostics(q2)

@@ -68,11 +68,11 @@ class TestAdjacency:
         D = pairwise_distances(LINE)
         G = knn_graph(D, 3, NEAREST)
         M = adjacency_scores(G)
-        assert np.array_equal(M.values, 1.0 - np.eye(4))
+        assert np.array_equal(M.dense(), 1.0 - np.eye(4))
 
     def test_empty_graph(self):
         M = adjacency_scores(UndirectedGraph(4, ()))
-        assert np.array_equal(M.values, np.zeros((4, 4)))
+        assert np.array_equal(M.dense(), np.zeros((4, 4)))
 
     def test_one_nn_hand_example(self):
         G = knn_graph(pairwise_distances(LINE), 1, NEAREST)
@@ -80,7 +80,7 @@ class TestAdjacency:
         expected = np.zeros((4, 4))
         for i, j in [(0, 1), (1, 0), (2, 1), (3, 2)]:
             expected[i, j] = 1.0
-        assert np.array_equal(M.values, expected)
+        assert np.array_equal(M.dense(), expected)
 
 
 class TestDistanceWeight:
@@ -90,8 +90,8 @@ class TestDistanceWeight:
         G = knn_graph(D, 1, NEAREST)
         sim = distance_weight_scores(G, D, NEAREST)
         dis = distance_weight_scores(G, D, FARTHEST)
-        assert sim.values[0, 1] == 0.5
-        assert dis.values[0, 1] == 2.0
+        assert sim.dense()[0, 1] == 0.5
+        assert dis.dense()[0, 1] == 2.0
 
     def test_zero_distance_similarity_edge_rejected(self):
         Z = np.array([[1.0], [1.0], [5.0], [9.0]])
@@ -123,15 +123,15 @@ class TestKernel:
         # bandwidth is the median of d^2, d^2, 16 d^2, 16 d^2, which is 8.5 d^2
         sim = kernel_scores(G, D, NEAREST)
         dis = kernel_scores(G, D, FARTHEST)
-        assert sim.values[0, 1] == pytest.approx(math.exp(-1 / 17), rel=1e-12)
-        assert dis.values[0, 1] == pytest.approx(math.exp(1 / 17), rel=1e-12)
-        assert sim.values[3, 2] == pytest.approx(math.exp(-16 / 17), rel=1e-12)
+        assert sim.dense()[0, 1] == pytest.approx(math.exp(-1 / 17), rel=1e-12)
+        assert dis.dense()[0, 1] == pytest.approx(math.exp(1 / 17), rel=1e-12)
+        assert sim.dense()[3, 2] == pytest.approx(math.exp(-16 / 17), rel=1e-12)
 
     def test_zero_distance_gives_one(self):
         Z = np.array([[1.0], [1.0], [5.0], [9.0]])
         D = pairwise_distances(Z)
         G = knn_graph(D, 1, NEAREST)
-        assert kernel_scores(G, D, NEAREST).values[0, 1] == 1.0
+        assert kernel_scores(G, D, NEAREST).dense()[0, 1] == 1.0
 
     def test_rejects_bad_bandwidth(self):
         # three of the five edges join coincident observations: the median
@@ -152,8 +152,8 @@ class TestKernel:
         for a in pairs:
             for b in pairs:
                 if D[a] < D[b]:
-                    assert sim.values[a] >= sim.values[b]
-                    assert dis.values[a] <= dis.values[b]
+                    assert sim.dense()[a] >= sim.dense()[b]
+                    assert dis.dense()[a] <= dis.dense()[b]
 
 
 class TestKernelBits:
@@ -167,9 +167,9 @@ class TestKernelBits:
         k = ScoreConfig().resolve_k(60)
         pair = [union_graph(GRAPHS[name](D, k, 0.0)) for name in names]
         for G, direction, sign in zip(pair, (NEAREST, FARTHEST), (-1.0, 1.0)):
-            cells = list(zip(*np.nonzero(adjacency_scores(G).values)))
+            cells = list(zip(*np.nonzero(adjacency_scores(G).dense())))
             bw = float(np.median([D[i, j] ** 2 for i, j in cells]))
-            M = kernel_scores(G, D, direction).values
+            M = kernel_scores(G, D, direction).dense()
 
             def kernel(bandwidth):
                 return [math.exp(sign * D[i, j] ** 2 / (2 * bandwidth)) for i, j in cells]
@@ -187,14 +187,14 @@ class TestGraphRank:
         R = graph_rank_scores(layers)
         nearest = knn_graph(D, 1, NEAREST)
         for i in range(4):
-            assert R.values[i, nearest.out_neighbors[i, 0]] == 3
+            assert R.dense()[i, nearest.out_neighbors[i, 0]] == 3
 
     def test_last_layer_gets_one_and_off_graph_zero(self):
         D = pairwise_distances(LINE)
         R = graph_rank_scores(neighbor_layers(D, 2, NEAREST))
         # k=2 on 4 points: one candidate per row stays off-graph with rank 0
-        assert sorted(np.sort(R.values, axis=1)[:, -2:].ravel().tolist()) == [1, 1, 1, 1, 2, 2, 2, 2]
-        assert (R.values == 0).sum() == 4 + 4  # diagonal + one unranked peer per row
+        assert sorted(np.sort(R.dense(), axis=1)[:, -2:].ravel().tolist()) == [1, 1, 1, 1, 2, 2, 2, 2]
+        assert (R.dense() == 0).sum() == 4 + 4  # diagonal + one unranked peer per row
 
     def test_overlapping_layers_rejected(self):
         D = pairwise_distances(LINE)
@@ -211,12 +211,12 @@ class TestGraphRank:
             order = sorted((j for j in range(15) if j != i), key=lambda j: (D[i, j], j))
             for pos, j in enumerate(order, start=1):
                 expected = k - pos + 1 if pos <= k else 0
-                assert R.values[i, j] == expected
+                assert R.dense()[i, j] == expected
 
     def test_mst_layers_symmetric(self, rng):
         Z = rng.standard_normal((10, 3))
         R = graph_rank_scores(kmst(pairwise_distances(Z), 3, "min"))
-        assert np.array_equal(R.values, R.values.T)
+        assert np.array_equal(R.dense(), R.dense().T)
 
 
 class TestRobustRank:
@@ -225,11 +225,11 @@ class TestRobustRank:
         G = knn_graph(D, 3, NEAREST)
         R = robust_rank_scores(G, D, NEAREST)
         # node 0's neighborhood is {1, 2, 3}: nearest (1) scores k, farthest (3) scores 1
-        assert R.values[0, 1] == 3
-        assert R.values[0, 3] == 1
+        assert R.dense()[0, 1] == 3
+        assert R.dense()[0, 3] == 1
         rev = robust_rank_scores(G, D, FARTHEST)
-        assert rev.values[0, 1] == 1
-        assert rev.values[0, 3] == 3
+        assert rev.dense()[0, 1] == 1
+        assert rev.dense()[0, 3] == 3
 
     def test_ties_share_top_rank(self):
         Z = np.array([[0.0], [1.0], [-1.0], [9.0]])
@@ -237,7 +237,7 @@ class TestRobustRank:
         G = knn_graph(D, 2, NEAREST)
         R = robust_rank_scores(G, D, NEAREST)
         # both members of node 0's neighborhood sit at distance 1
-        assert R.values[0, 1] == 2 and R.values[0, 2] == 2
+        assert R.dense()[0, 1] == 2 and R.dense()[0, 2] == 2
 
     def test_no_ties_gives_permutation(self, rng):
         Z = rng.standard_normal((20, 6))
@@ -246,7 +246,7 @@ class TestRobustRank:
         G = robust_graph(D, k, 0.3, NEAREST)
         R = robust_rank_scores(G, D, NEAREST)
         for i in range(20):
-            nonzero = sorted(R.values[i][R.values[i] > 0].tolist())
+            nonzero = sorted(R.dense()[i][R.dense()[i] > 0].tolist())
             assert nonzero == list(range(1, k + 1))
 
 
@@ -272,7 +272,7 @@ class TestRobustRankOracle:
         D = pairwise_distances(z)
         for direction, k in itertools.product((NEAREST, FARTHEST), (1, 7, 59)):
             G = robust_graph(D, k, 0.3, direction)
-            R = robust_rank_scores(G, D, direction).values
+            R = robust_rank_scores(G, D, direction).dense()
             assert np.array_equal(R, reference_robust_rank_scores(G, D, direction)), (direction, k)
 
 
@@ -280,14 +280,14 @@ class TestBuildScores:
     def test_auto_k_and_symmetry(self, rng):
         Z = rng.standard_normal((16, 3))
         sim, dis = build_scores(Z, ScoreConfig())
-        assert np.array_equal(sim.values, sim.values.T)
-        assert np.array_equal(dis.values, dis.values.T)
-        assert sim.values.max() <= 4  # k = floor(sqrt(16))
+        assert np.array_equal(sim.dense(), sim.dense().T)
+        assert np.array_equal(dis.dense(), dis.dense().T)
+        assert sim.dense().max() <= 4  # k = floor(sqrt(16))
 
     def test_symmetrized_ranks_are_half_integers(self, rng):
         Z = rng.standard_normal((25, 4))
         sim, dis = build_scores(Z, ScoreConfig())
-        for M in (sim.values, dis.values):
+        for M in (sim.dense(), dis.dense()):
             assert np.all(np.abs(M * 2 - np.round(M * 2)) < 1e-12)
             assert M.max() <= 5
 
@@ -297,10 +297,10 @@ class TestBuildScores:
         sim, dis = build_scores(Z, cfg)
         D = pairwise_distances(Z)
         k = cfg.resolve_k(12)
-        plain_sim = robust_rank_scores(knn_graph(D, k, NEAREST), D, NEAREST).values
-        plain_dis = robust_rank_scores(knn_graph(D, k, FARTHEST), D, FARTHEST).values
-        assert np.array_equal(sim.values, (plain_sim + plain_sim.T) / 2.0)
-        assert np.array_equal(dis.values, (plain_dis + plain_dis.T) / 2.0)
+        plain_sim = robust_rank_scores(knn_graph(D, k, NEAREST), D, NEAREST).dense()
+        plain_dis = robust_rank_scores(knn_graph(D, k, FARTHEST), D, FARTHEST).dense()
+        assert np.array_equal(sim.dense(), (plain_sim + plain_sim.T) / 2.0)
+        assert np.array_equal(dis.dense(), (plain_dis + plain_dis.T) / 2.0)
 
     @pytest.mark.parametrize("scheme,family", [
         ("adjacency", "knn"),
@@ -314,10 +314,10 @@ class TestBuildScores:
         Z = rng.standard_normal((14, 3))
         sim, dis = build_scores(Z, ScoreConfig(scheme=scheme, graph_family=family))
         assert sim.n == dis.n == 14
-        assert np.all(np.diagonal(sim.values) == 0)
-        assert np.all(np.diagonal(dis.values) == 0)
-        assert np.array_equal(sim.values, sim.values.T)
-        assert np.array_equal(dis.values, dis.values.T)
+        assert np.all(np.diagonal(sim.dense()) == 0)
+        assert np.all(np.diagonal(dis.dense()) == 0)
+        assert np.array_equal(sim.dense(), sim.dense().T)
+        assert np.array_equal(dis.dense(), dis.dense().T)
 
     def test_rejects_tiny_samples(self, rng):
         with pytest.raises(StructuralError):
