@@ -12,12 +12,16 @@ import logging
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import pdist, squareform
+from scipy.spatial.distance import cdist
 
 from .errors import StructuralError
 
 NEAREST = "nearest"
 FARTHEST = "farthest"
+
+# rows per block of the row-blocked set-up: a block's temporaries are
+# (128, n), so D is the only n x n array the graph phase holds
+_BLOCK = 128
 
 _log = logging.getLogger(__name__)
 
@@ -83,7 +87,15 @@ def pairwise_distances(Z) -> np.ndarray:
         raise StructuralError("need at least 2 observations")
     if not np.all(np.isfinite(Z)):
         raise StructuralError("data contains non-finite values")
-    return squareform(pdist(Z, metric="euclidean"))
+    # each block computes the distances from its rows to every later row,
+    # the ~n^2/2 that pdist computes, and writes them to both triangles
+    n = Z.shape[0]
+    D = np.empty((n, n))
+    for s in range(0, n, _BLOCK):
+        block = cdist(Z[s:s + _BLOCK], Z[s:])
+        D[s:s + _BLOCK, s:] = block
+        D[s:, s:s + _BLOCK] = block.T
+    return D
 
 
 def check_distance_matrix(D) -> np.ndarray:
@@ -97,11 +109,19 @@ def check_distance_matrix(D) -> np.ndarray:
     return D
 
 
-def _neighbor_keys(D: np.ndarray, direction: str) -> np.ndarray:
-    """Per-row sort keys: distances, negated for the farthest direction; the
-    node itself is inf, so it sorts last."""
-    key = D.copy() if direction == NEAREST else -D
-    np.fill_diagonal(key, np.inf)
+def _check_direction(direction: str) -> None:
+    if direction not in (NEAREST, FARTHEST):
+        raise ValueError(f"unknown direction {direction!r}")
+
+
+def _neighbor_keys(rows: np.ndarray, direction: str, start: int) -> np.ndarray:
+    """Sort keys of the distance rows ``start``, ``start + 1``, ...: distances,
+    negated for the farthest direction; each node's own cell is inf, so it
+    sorts last."""
+    _check_direction(direction)
+    key = rows.copy() if direction == NEAREST else -rows
+    r = np.arange(len(key))
+    key[r, start + r] = np.inf
     return key
 
 
@@ -117,12 +137,8 @@ def _rank_table(key: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray]:
     smallest and the keys equal to it in index order, then sorts them
     stably.  Every key strictly smaller than a table entry is in the table
     too, so the rank of an entry is 1 + the position where its run of equal
-    keys starts.  A table narrower than the rows is built in blocks of 128
-    rows, so the partition's index array is (128, n), not n x n.
+    keys starts.
     """
-    if width < key.shape[1] and len(key) > 128:
-        parts = [_rank_table(key[s:s + 128], width) for s in range(0, len(key), 128)]
-        return np.vstack([p[0] for p in parts]), np.vstack([p[1] for p in parts])
     order = np.argpartition(key, width - 1, axis=1)[:, :width]
     run = np.take_along_axis(key, order, axis=1)
     srt = np.argsort(run, axis=1)
@@ -151,6 +167,22 @@ def _rank_table(key: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray]:
     return order, run
 
 
+def _rank_rows(D: np.ndarray, direction: str, width: int) -> tuple[np.ndarray, np.ndarray]:
+    """``_rank_table`` of every row's neighbor keys, built in blocks of 128
+    rows into preallocated (n, width) arrays, so the keys and the
+    partition's index array are (128, n), not n x n.  At most 128 rows make
+    one block, returned as is."""
+    n = len(D)
+    if n <= _BLOCK:
+        return _rank_table(_neighbor_keys(D, direction, 0), width)
+    order = np.empty((n, width), dtype=np.intp)
+    ranks = np.empty((n, width))
+    for s in range(0, n, _BLOCK):
+        block = slice(s, s + _BLOCK)
+        order[block], ranks[block] = _rank_table(_neighbor_keys(D[block], direction, s), width)
+    return order, ranks
+
+
 def _competition_ranks(key: np.ndarray) -> np.ndarray:
     """Per row, 1 + the number of entries strictly smaller, as float64,
     in ``key``'s own column order."""
@@ -169,11 +201,9 @@ def knn_graph(D, k: int, direction: str = NEAREST) -> Digraph:
     """
     D = check_distance_matrix(D)
     n = D.shape[0]
-    if direction not in (NEAREST, FARTHEST):
-        raise ValueError(f"unknown direction {direction!r}")
     if not 1 <= k <= n - 1:
         raise ValueError(f"k={k} out of range [1, {n - 1}]")
-    return Digraph(n, k, _rank_table(_neighbor_keys(D, direction), k)[0])
+    return Digraph(n, k, _rank_rows(D, direction, k)[0])
 
 
 def kmst(D, k: int, direction: str = "min") -> list[UndirectedGraph]:
@@ -234,10 +264,11 @@ def neighbor_rank_rows(D: np.ndarray, direction: str, width: int | None = None):
     The node itself sorts after every peer, with rank n, so it appears only
     in the last column of a full-width table.
     """
-    key = _neighbor_keys(D, direction)
     if width is not None:
-        return _rank_table(key, width)
-    ranks = _competition_ranks(key)
+        return _rank_rows(D, direction, width)
+    ranks = np.empty(D.shape)
+    for s in range(0, len(D), _BLOCK):
+        ranks[s:s + _BLOCK] = _competition_ranks(_neighbor_keys(D[s:s + _BLOCK], direction, s))
     np.fill_diagonal(ranks, 0.0)
     return ranks
 
@@ -311,9 +342,11 @@ def robust_graph(D, k: int, lam: float, direction: str = NEAREST,
     # first three lexicographically; lexsort is stable, so index only breaks
     # measure-zero ties
     cols = min(3, n - 1)
-    profile = _neighbor_keys(D, NEAREST)
-    profile.partition(cols - 1, axis=1)
-    profile = np.sort(profile[:, :cols], axis=1)
+    profile = np.empty((n, cols))
+    for s in range(0, n, _BLOCK):
+        key = _neighbor_keys(D[s:s + _BLOCK], NEAREST, s)
+        key.partition(cols - 1, axis=1)
+        profile[s:s + _BLOCK] = np.sort(key[:, :cols], axis=1)
     visit = np.lexsort(tuple(profile.T[::-1])).tolist()
     width = min(8 * k + 1, n)
     order, ranks = neighbor_rank_rows(D, direction, width)
@@ -339,7 +372,7 @@ def robust_graph(D, k: int, lam: float, direction: str = NEAREST,
                     break
                 m = min(2 * m, n - 1)
                 if m >= width:  # the bound needs ri[m]: widen to full rows
-                    order, ranks = _rank_table(_neighbor_keys(D, direction), n)
+                    order, ranks = _rank_rows(D, direction, n)
                     member = np.hstack([member, np.zeros((n, n - width), dtype=np.intp)])
                     width = n
                     row, ri, mem = order[i], ranks[i], member[i]

@@ -20,6 +20,7 @@ from .graphs import (
     FARTHEST,
     NEAREST,
     UndirectedGraph,
+    _check_direction,
     _check_lam,
     _competition_ranks,
     check_distance_matrix,
@@ -121,6 +122,7 @@ def adjacency_scores(G) -> ScoreMatrix:
 def distance_weight_scores(G, D, direction: str) -> ScoreMatrix:
     """Reciprocal distances on a nearest graph's edges (similarities), raw
     distances on a farthest graph's edges (dissimilarities)."""
+    _check_direction(direction)
     D = check_distance_matrix(D)
     rows, cols = _directed_cells(G)
     d = D[rows, cols]
@@ -139,6 +141,7 @@ def kernel_scores(G, D, direction: str) -> ScoreMatrix:
     """Gaussian kernel weights: decaying on a nearest graph's edges, growing
     on a farthest graph's.  The squared bandwidth is the median squared edge
     length of ``G``; a zero median raises DegenerateDataError."""
+    _check_direction(direction)
     D = check_distance_matrix(D)
     sign = -1.0 if direction == NEAREST else 1.0
     rows, cols = _directed_cells(G)
@@ -192,6 +195,7 @@ def robust_rank_scores(G: Digraph, D, direction: str = NEAREST) -> ScoreMatrix:
     the larger rank.  Nearest ranks are similarities, farthest ranks
     dissimilarities.
     """
+    _check_direction(direction)
     D = check_distance_matrix(D)
     sign = 1.0 if direction == NEAREST else -1.0
     rows, cols = _directed_cells(G)
@@ -229,4 +233,7 @@ def build_scores(Z, cfg: ScoreConfig = ScoreConfig()) -> tuple[ScoreMatrix, Scor
     sim_layers = GRAPHS[sim_name](D, k, cfg.lam)
     dis_layers = GRAPHS[dis_name](D, k, cfg.lam)
     write = WRITERS[cfg.scheme]
-    return symmetrize(write(sim_layers, D, NEAREST)), symmetrize(write(dis_layers, D, FARTHEST))
+    sim, dis = write(sim_layers, D, NEAREST), write(dis_layers, D, FARTHEST)
+    # the scores no longer need D, and symmetrize's sort buffers can reuse its memory
+    del D
+    return symmetrize(sim), symmetrize(dis)

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial.distance import pdist, squareform
 
 from gitest.errors import StructuralError
 from gitest.graphs import (
@@ -52,6 +53,20 @@ class TestPairwiseDistances:
     def test_rejects_nonfinite(self):
         with pytest.raises(StructuralError):
             pairwise_distances(np.array([[0.0], [np.nan]]))
+
+    @pytest.mark.parametrize("kind", ["gaussian", "duplicate_rows", "integer"])
+    @pytest.mark.parametrize("p", [1, 7, 1000])
+    @pytest.mark.parametrize("n", [2, 127, 128, 129, 300])
+    def test_row_blocks_match_pdist_bit_for_bit(self, n, p, kind):
+        # blocks of 128 rows: one block, one full block, a full block plus
+        # one row, and three blocks
+        r = np.random.default_rng(n * p)
+        Z = r.standard_normal((n, p))
+        if kind == "duplicate_rows":  # zero distances off the diagonal
+            Z[n // 2:] = Z[: n - n // 2]
+        elif kind == "integer":  # tied distances
+            Z = r.integers(0, 3, size=(n, p)).astype(float)
+        assert np.array_equal(pairwise_distances(Z), squareform(pdist(Z)))
 
 
 class TestKnnGraph:
@@ -105,6 +120,24 @@ class TestKnnGraph:
             row = G.out_neighbors[i]
             assert i not in row
             assert len(set(row.tolist())) == k
+
+
+class TestUnknownDirection:
+    """A misspelled direction is an error, never the farthest direction."""
+
+    D = pairwise_distances(np.random.default_rng(1).standard_normal((12, 3)))
+
+    @pytest.mark.parametrize("build", [
+        lambda D: knn_graph(D, 3, "Nearest"),
+        lambda D: neighbor_rank_rows(D, "nearst"),
+        lambda D: neighbor_rank_rows(D, "nearst", 5),
+        lambda D: robust_objective(D, knn_graph(D, 3), 0.3, "Nearest"),
+        lambda D: robust_graph(D, 3, 0.3, "far"),
+    ], ids=["knn_graph", "neighbor_rank_rows", "neighbor_rank_rows-width", "robust_objective",
+            "robust_graph"])
+    def test_rejected(self, build):
+        with pytest.raises(ValueError, match="unknown direction"):
+            build(self.D)
 
 
 class TestKmst:
@@ -554,9 +587,9 @@ class TestKmstOracle:
 
 @pytest.mark.parametrize("direction", [NEAREST, FARTHEST])
 def test_robust_graph_memory_peak(direction):
-    # the set-up never holds more than three n x n arrays of 8-byte entries
-    # at once (3.34 x 8n^2 bytes at the peak with numpy 2.4), so one more
-    # copy crosses the bound
+    # the set-up holds no n x n array of its own: its 128-row blocks, a third
+    # of n at n=400, and the (n, 8k + 1) candidate table peak at 2.0 x 8n^2
+    # bytes with numpy 2.4
     n = 400
     D = pairwise_distances(oracle_data(n, "gaussian"))
     tracemalloc.start()
@@ -566,6 +599,36 @@ def test_robust_graph_memory_peak(direction):
     finally:
         tracemalloc.stop()
     assert peak <= 4.0 * 8 * n * n
+
+
+GUARD_N, GUARD_K = 2000, 44
+
+
+@pytest.fixture(scope="module")
+def guard_sample():
+    Z = np.random.default_rng(0).standard_normal((GUARD_N, 20))
+    return Z, pairwise_distances(Z)
+
+
+@pytest.mark.parametrize("build,bound", [
+    (lambda Z, D: pairwise_distances(Z), 1.25),
+    (lambda Z, D: knn_graph(D, GUARD_K), 0.5),
+    (lambda Z, D: neighbor_rank_rows(D, FARTHEST, 8 * GUARD_K + 1), 0.75),
+    (lambda Z, D: robust_graph(D, GUARD_K, 0.3, max_sweeps=1), 1.0),
+], ids=["pairwise_distances", "knn_graph", "neighbor_rank_rows", "robust_graph"])
+def test_graph_set_up_builds_no_second_square_array(build, bound, guard_sample):
+    # the set-up works in blocks of 128 rows, so D is its only n x n array.
+    # tracemalloc peaks in units of 8n^2 bytes with numpy 2.4: 1.12 (D and
+    # a block of distances), 0.18, 0.52 (the (n, 8k + 1) table) and 0.77;
+    # n x n neighbor keys or a condensed distance vector beside D cross the
+    # bounds
+    tracemalloc.start()
+    try:
+        build(*guard_sample)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound * 8 * GUARD_N ** 2
 
 
 class TestDumpEdges:

@@ -284,9 +284,9 @@ class TestRunTest:
             run_test(rng.standard_normal((10, 2)), rng.standard_normal((11, 2)))
 
     def test_memory_peak_holds_no_dense_score_matrix(self):
-        # the scores live on graph edges, so the peak is the graph phase's own
-        # n x n arrays (4.3 x 8n^2 bytes with numpy 2.4); dense score matrices
-        # and their symmetric copies peaked at 7.1 x 8n^2
+        # the scores live on graph edges, so the peak is the graph phase's
+        # distance matrix and row blocks (3.6 x 8n^2 bytes with numpy 2.4);
+        # dense score matrices and their symmetric copies peaked at 7.1 x 8n^2
         n = 400
         rng = np.random.default_rng(0)
         x = rng.standard_normal((n, 50))

@@ -276,6 +276,15 @@ class TestRobustRankOracle:
             assert np.array_equal(R, reference_robust_rank_scores(G, D, direction)), (direction, k)
 
 
+@pytest.mark.parametrize("write", [distance_weight_scores, kernel_scores, robust_rank_scores])
+def test_writers_reject_an_unknown_direction(write):
+    # a misspelled direction used to score the graph as its farthest side
+    D = pairwise_distances(LINE)
+    G = knn_graph(D, 1, NEAREST)
+    with pytest.raises(ValueError, match="unknown direction 'Nearest'"):
+        write(G, D, "Nearest")
+
+
 class TestBuildScores:
     def test_auto_k_and_symmetry(self, rng):
         Z = rng.standard_normal((16, 3))
