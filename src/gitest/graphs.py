@@ -170,11 +170,8 @@ def _rank_table(key: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray]:
 def _rank_rows(D: np.ndarray, direction: str, width: int) -> tuple[np.ndarray, np.ndarray]:
     """``_rank_table`` of every row's neighbor keys, built in blocks of 128
     rows into preallocated (n, width) arrays, so the keys and the
-    partition's index array are (128, n), not n x n.  At most 128 rows make
-    one block, returned as is."""
+    partition's index array are (128, n), not n x n."""
     n = len(D)
-    if n <= _BLOCK:
-        return _rank_table(_neighbor_keys(D, direction, 0), width)
     order = np.empty((n, width), dtype=np.intp)
     ranks = np.empty((n, width))
     for s in range(0, n, _BLOCK):
