@@ -59,23 +59,31 @@ class Digraph:
 
 @dataclass(frozen=True)
 class UndirectedGraph:
-    """Simple undirected graph; edges stored as sorted (i, j) pairs, i < j."""
+    """Simple undirected graph.
+
+    ``edges`` is a read-only (m, 2) intp array of (i, j) pairs with i < j, in
+    ascending order; the pairs may be given in any order and orientation.
+    """
 
     n: int
-    edges: tuple
+    edges: np.ndarray
 
     def __post_init__(self):
-        seen = set()
-        for i, j in self.edges:
-            if i == j:
-                raise StructuralError(f"self-loop at node {i}")
-            if not (0 <= i < self.n and 0 <= j < self.n):
-                raise StructuralError(f"edge ({i},{j}) out of range")
-            key = (min(i, j), max(i, j))
-            if key in seen:
-                raise StructuralError(f"duplicate edge {key}")
-            seen.add(key)
-        object.__setattr__(self, "edges", tuple(sorted(seen)))
+        e = np.asarray(self.edges, dtype=np.intp)
+        if e.size and e.shape != (len(e), 2):
+            raise StructuralError(f"edges shape {e.shape} is not (m, 2)")
+        e = np.sort(e.reshape(-1, 2), axis=1)
+        loop = e[:, 0] == e[:, 1]
+        if loop.any():
+            raise StructuralError(f"self-loop at node {e[np.argmax(loop), 0]}")
+        if ((e < 0) | (e >= self.n)).any():
+            raise StructuralError("edge index out of range")
+        e = e[np.lexsort((e[:, 1], e[:, 0]))]
+        dup = (e[1:] == e[:-1]).all(axis=1)
+        if dup.any():
+            raise StructuralError(f"duplicate edge {tuple(e[np.argmax(dup)].tolist())}")
+        e.setflags(write=False)
+        object.__setattr__(self, "edges", e)
 
 
 def pairwise_distances(Z) -> np.ndarray:
@@ -203,19 +211,25 @@ def knn_graph(D, k: int, direction: str = NEAREST) -> Digraph:
     return Digraph(n, k, _rank_rows(D, direction, k)[0])
 
 
+def _root(parent: list[int], a: int) -> int:
+    """Root of ``a`` in a union-find forest, halving its path on the way."""
+    while parent[a] != a:
+        parent[a] = a = parent[parent[a]]
+    return a
+
+
 def kmst(D, k: int, direction: str = "min") -> list[UndirectedGraph]:
     """k edge-disjoint spanning trees, greedily minimal or maximal.
 
     Layer m is the Kruskal spanning tree over all edges unused by layers
-    1..m-1, edges taken in (weight, i, j) order.  Each edge's weight in the
-    tree search is its 1-based rank in that order; the ranks are distinct,
-    so the minimum spanning tree is unique and is Kruskal's tree.  Raises if
-    some layer cannot span, reporting how many layers are complete.
+    1..m-1, edges taken in (weight, i, j) order.  One pass over that order
+    builds them all: each edge goes to the first layer whose forest it does
+    not close a cycle in, so layer m sees exactly the edges that layers
+    1..m-1 rejected, in order.  A layer only joins nodes that the layer
+    before it had joined, so the layers span in order, and a spanning layer,
+    which rejects every edge, is skipped.  Raises if some layer cannot span,
+    reporting how many layers are complete.
     """
-    # imported here: loading scipy.sparse.csgraph slows down importing the
-    # package, and the default score configuration never builds spanning trees
-    from scipy.sparse.csgraph import minimum_spanning_tree
-
     D = check_distance_matrix(D)
     n = D.shape[0]
     if direction not in ("min", "max"):
@@ -223,51 +237,39 @@ def kmst(D, k: int, direction: str = "min") -> list[UndirectedGraph]:
     if not 1 <= k <= n // 2:
         raise ValueError(f"k={k} out of range [1, {n // 2}] for n={n}")
     iu, ju = np.triu_indices(n, 1)
-    w = D[iu, ju]
-    keys = w if direction == "min" else -w
-    # sort by (weight, i, j) so equal-weight edges resolve deterministically
-    perm = np.lexsort((ju, iu, keys))
-    # edge (i, j), i < j, weighs W[i, j]; 0 marks "no edge".  One triangle
-    # suffices: the tree search reads the matrix as undirected
-    W = np.zeros((n, n))
-    W[iu[perm], ju[perm]] = np.arange(1.0, len(perm) + 1)
-    layers: list[UndirectedGraph] = []
-    for _layer in range(k):
-        tree = minimum_spanning_tree(W)
-        if tree.nnz < n - 1:
-            m = len(layers)
-            raise StructuralError(
-                f"greedy layering found only {m} complete spanning layers, "
-                f"{k} requested; use k <= {m}"
-            )
-        r, c = tree.nonzero()
-        W[r, c] = 0.0
-        W[c, r] = 0.0
-        layers.append(UndirectedGraph(n, tuple(zip(r.tolist(), c.tolist()))))
-    return layers
+    perm = np.lexsort((ju, iu, D[iu, ju] if direction == "min" else -D[iu, ju]))
+    parents = [list(range(n)) for _layer in range(k)]
+    trees = [[] for _layer in range(k)]
+    done = 0  # layers 1..done span
+    # chunks of 2^16 edges: only one chunk's edges are alive as Python ints
+    for chunk in np.split(perm, range(1 << 16, len(perm), 1 << 16)):
+        for i, j in zip(iu[chunk].tolist(), ju[chunk].tolist()):
+            for layer in range(done, k):
+                parent = parents[layer]
+                a, b = _root(parent, i), _root(parent, j)
+                if a != b:
+                    parent[a] = b
+                    trees[layer].append((i, j))
+                    done += len(trees[layer]) == n - 1
+                    break
+            if done == k:
+                return [UndirectedGraph(n, tree) for tree in trees]
+    raise StructuralError(
+        f"greedy layering found only {done} complete spanning layers, "
+        f"{k} requested; use k <= {done}"
+    )
 
 
-def neighbor_rank_rows(D: np.ndarray, direction: str, width: int | None = None):
-    """Competition ranks of the candidate neighbors, per source node.
+def neighbor_rank_rows(D: np.ndarray, direction: str, width: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each node's first ``width`` candidate neighbors in (rank, index) order.
 
     The rank of peer x for node i is 1 + the number of peers strictly closer
     to i than x (strictly farther, for the farthest direction), so tied peers
-    share a rank.
-
-    Without ``width``: the (n, n) float64 rank matrix, entry (i, x) the rank
-    of x for i, with a zero diagonal.  With ``width``: each node's first
-    ``width`` candidates in (rank, index) order, as an ``(order, ranks)``
-    pair of (n, width) arrays, intp peer indices and their float64 ranks.
-    The node itself sorts after every peer, with rank n, so it appears only
-    in the last column of a full-width table.
+    share a rank.  Returns ``(order, ranks)``, (n, width) arrays of intp peer
+    indices and their float64 ranks.  The node itself sorts after every peer,
+    with rank n, so it appears only in the last column of a full-width table.
     """
-    if width is not None:
-        return _rank_rows(D, direction, width)
-    ranks = np.empty(D.shape)
-    for s in range(0, len(D), _BLOCK):
-        ranks[s:s + _BLOCK] = _competition_ranks(_neighbor_keys(D[s:s + _BLOCK], direction, s))
-    np.fill_diagonal(ranks, 0.0)
-    return ranks
+    return _rank_rows(D, direction, width)
 
 
 def _check_lam(lam: float) -> None:
@@ -283,9 +285,10 @@ def robust_objective(D, G: Digraph, lam: float, direction: str = NEAREST) -> flo
     """
     D = check_distance_matrix(D)
     _check_lam(lam)
-    ranks = neighbor_rank_rows(D, direction)
-    rows = np.arange(G.n)[:, None]
-    rank_sum = float(ranks[rows, G.out_neighbors].sum())
+    rank_sum = 0.0  # the ranks are integers: the blocks sum them exactly in any order
+    for s in range(0, G.n, _BLOCK):
+        ranks = _competition_ranks(_neighbor_keys(D[s:s + _BLOCK], direction, s))
+        rank_sum += float(np.take_along_axis(ranks, G.out_neighbors[s:s + _BLOCK], axis=1).sum())
     deg = G.in_degrees().astype(np.float64)
     return rank_sum + lam * float((deg ** 2).sum())
 
@@ -409,10 +412,9 @@ def dump_edges(G, D=None) -> str:
     if isinstance(G, Digraph):
         pairs = [(i, int(j)) for i in range(G.n) for j in G.out_neighbors[i]]
     elif isinstance(G, UndirectedGraph):
-        pairs = list(G.edges)
+        pairs = G.edges.tolist()
     else:
         raise TypeError(f"cannot dump edges of {type(G).__name__}")
-    pairs.sort()
     lines = []
     for i, j in pairs:
         w = 1.0 if D is None else float(np.asarray(D)[i, j])

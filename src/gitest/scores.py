@@ -108,8 +108,7 @@ def _directed_cells(G) -> tuple[np.ndarray, np.ndarray]:
     if isinstance(G, Digraph):
         return np.repeat(np.arange(G.n), G.k), G.out_neighbors.ravel()
     if isinstance(G, UndirectedGraph):
-        e = np.array(G.edges, dtype=np.intp).reshape(-1, 2)
-        return e.ravel(), e[:, ::-1].ravel()
+        return G.edges.ravel(), G.edges[:, ::-1].ravel()
     raise TypeError(f"unsupported graph type {type(G).__name__}")
 
 
@@ -123,7 +122,6 @@ def distance_weight_scores(G, D, direction: str) -> ScoreMatrix:
     """Reciprocal distances on a nearest graph's edges (similarities), raw
     distances on a farthest graph's edges (dissimilarities)."""
     _check_direction(direction)
-    D = check_distance_matrix(D)
     rows, cols = _directed_cells(G)
     d = D[rows, cols]
     if direction == NEAREST:
@@ -142,7 +140,6 @@ def kernel_scores(G, D, direction: str) -> ScoreMatrix:
     on a farthest graph's.  The squared bandwidth is the median squared edge
     length of ``G``; a zero median raises DegenerateDataError."""
     _check_direction(direction)
-    D = check_distance_matrix(D)
     sign = -1.0 if direction == NEAREST else 1.0
     rows, cols = _directed_cells(G)
     # numpy-scalar squares through math.exp, one cell at a time: np.exp and
@@ -196,7 +193,6 @@ def robust_rank_scores(G: Digraph, D, direction: str = NEAREST) -> ScoreMatrix:
     dissimilarities.
     """
     _check_direction(direction)
-    D = check_distance_matrix(D)
     sign = 1.0 if direction == NEAREST else -1.0
     rows, cols = _directed_cells(G)
     # an edge scores the number of the node's edge keys at least its own,
@@ -212,7 +208,7 @@ def union_graph(layers):
     n = layers[0].n
     if isinstance(layers[0], Digraph):
         return Digraph(n, sum(g.k for g in layers), np.hstack([g.out_neighbors for g in layers]))
-    return UndirectedGraph(n, tuple(e for g in layers for e in g.edges))
+    return UndirectedGraph(n, np.vstack([g.edges for g in layers]))
 
 
 def build_scores(Z, cfg: ScoreConfig = ScoreConfig()) -> tuple[ScoreMatrix, ScoreMatrix]:

@@ -129,12 +129,10 @@ class TestUnknownDirection:
 
     @pytest.mark.parametrize("build", [
         lambda D: knn_graph(D, 3, "Nearest"),
-        lambda D: neighbor_rank_rows(D, "nearst"),
         lambda D: neighbor_rank_rows(D, "nearst", 5),
         lambda D: robust_objective(D, knn_graph(D, 3), 0.3, "Nearest"),
         lambda D: robust_graph(D, 3, 0.3, "far"),
-    ], ids=["knn_graph", "neighbor_rank_rows", "neighbor_rank_rows-width", "robust_objective",
-            "robust_graph"])
+    ], ids=["knn_graph", "neighbor_rank_rows-width", "robust_objective", "robust_graph"])
     def test_rejected(self, build):
         with pytest.raises(ValueError, match="unknown direction"):
             build(self.D)
@@ -143,17 +141,17 @@ class TestUnknownDirection:
 class TestKmst:
     def test_two_nodes(self):
         layers = kmst(line_distances([0, 1]), 1)
-        assert layers[0].edges == ((0, 1),)
+        assert layers[0].edges.tolist() == [[0, 1]]
 
     def test_minimal_tree_hand_example(self):
         # exhaustive check over the 3 spanning trees on 3 nodes gives {01, 12}
         layers = kmst(line_distances([0, 1, 3]), 1, "min")
-        assert layers[0].edges == ((0, 1), (1, 2))
+        assert layers[0].edges.tolist() == [[0, 1], [1, 2]]
 
     def test_maximal_tree(self):
         # trees on 3 nodes total 3, 4, 5; the max picks edges 02 and 12
         layers = kmst(line_distances([0, 1, 3]), 1, "max")
-        assert layers[0].edges == ((0, 2), (1, 2))
+        assert layers[0].edges.tolist() == [[0, 2], [1, 2]]
 
     def test_layers_edge_disjoint(self, rng):
         D = pairwise_distances(rng.standard_normal((11, 3)))
@@ -161,7 +159,7 @@ class TestKmst:
         seen = set()
         for layer in layers:
             assert len(layer.edges) == 10
-            for e in layer.edges:
+            for e in map(tuple, layer.edges.tolist()):
                 assert e not in seen
                 seen.add(e)
 
@@ -183,6 +181,39 @@ class TestKmst:
             kmst(D, 2, "min")
 
 
+class TestUndirectedGraph:
+    @pytest.mark.parametrize("edges", [
+        ((0, 1), (2, 2)),
+        ((0, 1), (1, 4)),
+        ((-1, 2),),
+        ((0, 1), (2, 3), (1, 0)),
+        ((0, 1, 2), (1, 2, 3)),
+    ], ids=["self-loop", "out-of-range", "negative", "duplicate-reversed", "not-pairs"])
+    def test_rejects(self, edges):
+        with pytest.raises(StructuralError):
+            UndirectedGraph(4, edges)
+
+    def test_empty_edge_set(self):
+        G = UndirectedGraph(4, ())
+        assert G.edges.shape == (0, 2) and G.edges.dtype == np.intp
+
+    def test_edges_in_ascending_order_whatever_the_input_order(self):
+        edges = [(0, 1), (3, 1), (2, 0), (1, 2)]
+        for perm in itertools.permutations(edges):
+            for given in (perm, [(j, i) for i, j in perm]):
+                G = UndirectedGraph(4, given)
+                assert G.edges.dtype == np.intp
+                assert G.edges.tolist() == [[0, 1], [0, 2], [1, 2], [1, 3]]
+
+    def test_edges_are_read_only(self):
+        given = np.array([[1, 0], [2, 3]])
+        G = UndirectedGraph(4, given)
+        with pytest.raises(ValueError):
+            G.edges[0, 0] = 3
+        given[0, 0] = 2  # the caller's array stays writable and unchanged in G
+        assert G.edges.tolist() == [[0, 1], [2, 3]]
+
+
 class TestRobustObjective:
     def test_hand_example(self):
         D = line_distances([0, 1, 3, 7])
@@ -192,8 +223,9 @@ class TestRobustObjective:
 
     def test_rank_rows_with_ties(self):
         D = pairwise_distances(np.array([[0.0], [1.0], [-1.0]]))
-        R = neighbor_rank_rows(D, NEAREST)
-        assert R[0, 1] == 1 and R[0, 2] == 1  # tied distances share the low rank
+        order, ranks = neighbor_rank_rows(D, NEAREST, 2)
+        assert order[0].tolist() == [1, 2]
+        assert ranks[0].tolist() == [1.0, 1.0]  # tied distances share the low rank
 
 
 def exhaustive_best_objective(D, k, lam, direction):
@@ -355,8 +387,8 @@ ORACLE_SIZES = [2, 3, 5, 12, 50, 300]
 
 
 class TestRankAndKnnOracle:
-    """The one-sort ranks and the partition k-NN graph match the reference
-    per-row loop and full stable sort exactly."""
+    """The full-width rank table and the partition k-NN graph match the
+    reference per-row loop and full stable sort exactly."""
 
     @pytest.mark.parametrize("kind", ["gaussian", "binary", "rounded", "all_ties"])
     @pytest.mark.parametrize("n", ORACLE_SIZES)
@@ -364,10 +396,11 @@ class TestRankAndKnnOracle:
         # every off-diagonal distance of the identity's rows is sqrt(2)
         D = pairwise_distances(np.eye(n) if kind == "all_ties" else oracle_data(n, kind))
         for direction in (NEAREST, FARTHEST):
-            R = neighbor_rank_rows(D, direction)
-            assert R.dtype == np.float64
-            assert np.all(np.diagonal(R) == 0)
-            assert np.array_equal(R, reference_neighbor_rank_rows(D, direction)), direction
+            order, ranks = neighbor_rank_rows(D, direction, n)
+            want_order, want_ranks = reference_rank_table(D, direction)
+            assert ranks.dtype == np.float64
+            assert np.array_equal(order, want_order), direction
+            assert np.array_equal(ranks, want_ranks), direction
             for k in oracle_ks(n):
                 got = knn_graph(D, k, direction).out_neighbors
                 want = reference_knn_graph(D, k, direction).out_neighbors
@@ -576,13 +609,38 @@ class TestKmstOracle:
                 ref, stuck = reference_kmst(D, m, direction), str(exc)
             for k in range(1, kmax + 1):
                 if k <= m:
-                    got = [g.edges for g in kmst(D, k, direction)]
-                    assert got == [g.edges for g in ref[:k]], (direction, k)
+                    got = [g.edges.tolist() for g in kmst(D, k, direction)]
+                    assert got == [g.edges.tolist() for g in ref[:k]], (direction, k)
                     continue
                 with pytest.raises(StructuralError, match=f"only {m} complete") as got:
                     kmst(D, k, direction)
                 if k == kmax:
                     assert str(got.value) == stuck, direction
+
+    @pytest.mark.parametrize("kind", ["gaussian", "rounded"])
+    def test_n300(self, kind):
+        # past the grid's n, on 50 features, where 17 maximal layers exist;
+        # rounding leaves 17262 distinct weights among the 44850 edges
+        z = np.random.default_rng(300).standard_normal((300, 50))
+        D = pairwise_distances(np.round(z, 1) if kind == "rounded" else z)
+        for direction in ("min", "max"):
+            got = [g.edges.tolist() for g in kmst(D, 17, direction)]
+            assert got == [g.edges.tolist() for g in reference_kmst(D, 17, direction)], direction
+
+
+def test_kmst_memory_peak():
+    # one pass over the sorted edges: the (i, j) index arrays, the sort and
+    # one chunk of edges as Python ints peak at 3.4 x 8n^2 bytes with numpy
+    # 2.4 at n=600; an n x n weight matrix beside them crosses the bound
+    n = 600
+    D = pairwise_distances(np.random.default_rng(0).standard_normal((n, 50)))
+    tracemalloc.start()
+    try:
+        kmst(D, 24)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4.5 * 8 * n * n
 
 
 @pytest.mark.parametrize("direction", [NEAREST, FARTHEST])
