@@ -14,33 +14,10 @@ Quick start::
 import logging
 
 from .errors import DegenerateDataError, GitestError, StructuralError
-from .graphs import (
-    Digraph,
-    UndirectedGraph,
-    dump_edges,
-    kmst,
-    knn_graph,
-    pairwise_distances,
-    robust_graph,
-    robust_objective,
-)
-from .inference import (
-    GitResult,
-    chi_square_cdf,
-    git_test,
-    permutation_test,
-    run_test,
-    standard_normal_cdf,
-)
-from .matrixcore import ScoreMatrix, center, cross_summarize, symmetrize
-from .moments import (
-    NullMoments,
-    QuadrupleInputs,
-    brute_force_moments,
-    diagnostics,
-    null_moments,
-    t_stats,
-)
+from .graphs import Digraph, UndirectedGraph, kmst, knn_graph, pairwise_distances, robust_graph
+from .inference import GitResult, git_test, permutation_test, run_test
+from .matrixcore import ScoreMatrix
+from .moments import NullMoments, QuadrupleInputs, brute_force_moments, diagnostics, null_moments
 from .scores import ScoreConfig, build_scores
 from .simulate import (
     PowerEstimate,
@@ -58,14 +35,11 @@ __version__ = "0.1.0"
 logging.getLogger(__name__).addHandler(logging.NullHandler())
 
 __all__ = [
-    "ScoreMatrix", "cross_summarize", "center", "symmetrize",
-    "Digraph", "UndirectedGraph", "pairwise_distances", "knn_graph", "kmst",
-    "robust_graph", "robust_objective", "dump_edges",
+    "ScoreMatrix",
+    "Digraph", "UndirectedGraph", "pairwise_distances", "knn_graph", "kmst", "robust_graph",
     "ScoreConfig", "build_scores",
-    "QuadrupleInputs", "NullMoments", "t_stats",
-    "null_moments", "brute_force_moments", "diagnostics",
+    "QuadrupleInputs", "NullMoments", "null_moments", "brute_force_moments", "diagnostics",
     "GitResult", "git_test", "permutation_test", "run_test",
-    "chi_square_cdf", "standard_normal_cdf",
     "SettingSpec", "PowerEstimate", "generate", "estimate_power", "k_sweep",
     "component_power",
     "GitestError", "StructuralError", "DegenerateDataError",

@@ -36,15 +36,15 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"gitest: error: {message} (see '{self.prog} --help')\n")
 
 
-class DataError(Exception):
-    """Bad input files or untestable data; maps to exit code 2."""
+class DataError(GitestError):
+    """Bad input files or untestable data; maps to exit code 2, as any GitestError."""
 
 
-class UsageError(Exception):
+class UsageError(ValueError):
     """Inconsistent flags detected after parsing; maps to exit code 64.
 
-    A plain ValueError from the library also maps to 64: the library raises
-    it only for out-of-range parameters, and GitestError for bad data.
+    Every other ValueError maps to 64 too: the library raises it only for
+    out-of-range parameters, and GitestError for bad data.
     """
 
 
@@ -302,10 +302,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (DataError, GitestError) as exc:
+    except GitestError as exc:
         print(f"gitest: error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except (UsageError, ValueError) as exc:
+    except ValueError as exc:
         print(f"gitest: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -218,26 +218,26 @@ def _root(parent: list[int], a: int) -> int:
     return a
 
 
-def kmst(D, k: int, direction: str = "min") -> list[UndirectedGraph]:
-    """k edge-disjoint spanning trees, greedily minimal or maximal.
+def kmst(D, k: int, direction: str = NEAREST) -> list[UndirectedGraph]:
+    """k edge-disjoint spanning trees, greedily minimal (``NEAREST``) or
+    maximal (``FARTHEST``).
 
     Layer m is the Kruskal spanning tree over all edges unused by layers
-    1..m-1, edges taken in (weight, i, j) order.  One pass over that order
-    builds them all: each edge goes to the first layer whose forest it does
-    not close a cycle in, so layer m sees exactly the edges that layers
-    1..m-1 rejected, in order.  A layer only joins nodes that the layer
-    before it had joined, so the layers span in order, and a spanning layer,
-    which rejects every edge, is skipped.  Raises if some layer cannot span,
-    reporting how many layers are complete.
+    1..m-1, edges taken in (weight, i, j) order (-weight for ``FARTHEST``).
+    One pass over that order builds them all: each edge goes to the first
+    layer whose forest it does not close a cycle in, so layer m sees exactly
+    the edges that layers 1..m-1 rejected, in order.  A layer only joins
+    nodes that the layer before it had joined, so the layers span in order,
+    and a spanning layer, which rejects every edge, is skipped.  Raises if
+    some layer cannot span, reporting how many layers are complete.
     """
     D = check_distance_matrix(D)
     n = D.shape[0]
-    if direction not in ("min", "max"):
-        raise ValueError(f"unknown direction {direction!r}")
+    _check_direction(direction)
     if not 1 <= k <= n // 2:
         raise ValueError(f"k={k} out of range [1, {n // 2}] for n={n}")
     iu, ju = np.triu_indices(n, 1)
-    perm = np.lexsort((ju, iu, D[iu, ju] if direction == "min" else -D[iu, ju]))
+    perm = np.lexsort((ju, iu, D[iu, ju] if direction == NEAREST else -D[iu, ju]))
     parents = [list(range(n)) for _layer in range(k)]
     trees = [[] for _layer in range(k)]
     done = 0  # layers 1..done span
@@ -403,20 +403,19 @@ def robust_graph(D, k: int, lam: float, direction: str = NEAREST,
     return Digraph(n, k, np.take_along_axis(order, np.array(pos), axis=1))
 
 
-def dump_edges(G, D=None) -> str:
-    """Edge list as ``i<TAB>j<TAB>weight`` lines, 0-based, sorted by (i, j).
+def dump_edges(G, D) -> str:
+    """Edge list as ``i<TAB>j<TAB>weight`` lines, 0-based, sorted by (i, j),
+    each weight read from ``D``.
 
     Directed graphs emit one line per out-edge; undirected graphs one line
-    per pair with i < j.  Weights come from ``D`` when given, else 1.
+    per pair with i < j.
     """
     if isinstance(G, Digraph):
-        pairs = [(i, int(j)) for i in range(G.n) for j in G.out_neighbors[i]]
+        rows, cols = np.repeat(np.arange(G.n), G.k), G.out_neighbors.ravel()
     elif isinstance(G, UndirectedGraph):
-        pairs = G.edges.tolist()
+        rows, cols = G.edges.T
     else:
         raise TypeError(f"cannot dump edges of {type(G).__name__}")
-    lines = []
-    for i, j in pairs:
-        w = 1.0 if D is None else float(np.asarray(D)[i, j])
-        lines.append(f"{i}\t{j}\t{w:.17g}")
-    return "\n".join(lines) + ("\n" if lines else "")
+    weights = np.asarray(D)[rows, cols]
+    return "".join(f"{i}\t{j}\t{w:.17g}\n"
+                   for i, j, w in zip(rows.tolist(), cols.tolist(), weights.tolist()))

@@ -37,8 +37,8 @@ from .matrixcore import ScoreMatrix, symmetrize
 GRAPHS = {
     "knn": lambda D, k, lam: neighbor_layers(D, k, NEAREST),
     "kfp": lambda D, k, lam: neighbor_layers(D, k, FARTHEST),
-    "kmst": lambda D, k, lam: kmst(D, k, "min"),
-    "kmaxst": lambda D, k, lam: kmst(D, k, "max"),
+    "kmst": lambda D, k, lam: kmst(D, k, NEAREST),
+    "kmaxst": lambda D, k, lam: kmst(D, k, FARTHEST),
     "robust_knn": lambda D, k, lam: [robust_graph(D, k, lam, NEAREST)],
     "robust_kfp": lambda D, k, lam: [robust_graph(D, k, lam, FARTHEST)],
 }

@@ -20,7 +20,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .inference import git_test, permutation_test, quadruple_from_samples
-from .rng import derive_seed, substream
+from .rng import derive_seed
 from .scores import ScoreConfig
 
 

@@ -132,7 +132,8 @@ class TestUnknownDirection:
         lambda D: neighbor_rank_rows(D, "nearst", 5),
         lambda D: robust_objective(D, knn_graph(D, 3), 0.3, "Nearest"),
         lambda D: robust_graph(D, 3, 0.3, "far"),
-    ], ids=["knn_graph", "neighbor_rank_rows-width", "robust_objective", "robust_graph"])
+        lambda D: kmst(D, 2, "min"),
+    ], ids=["knn_graph", "neighbor_rank_rows-width", "robust_objective", "robust_graph", "kmst"])
     def test_rejected(self, build):
         with pytest.raises(ValueError, match="unknown direction"):
             build(self.D)
@@ -145,17 +146,17 @@ class TestKmst:
 
     def test_minimal_tree_hand_example(self):
         # exhaustive check over the 3 spanning trees on 3 nodes gives {01, 12}
-        layers = kmst(line_distances([0, 1, 3]), 1, "min")
+        layers = kmst(line_distances([0, 1, 3]), 1, NEAREST)
         assert layers[0].edges.tolist() == [[0, 1], [1, 2]]
 
     def test_maximal_tree(self):
         # trees on 3 nodes total 3, 4, 5; the max picks edges 02 and 12
-        layers = kmst(line_distances([0, 1, 3]), 1, "max")
+        layers = kmst(line_distances([0, 1, 3]), 1, FARTHEST)
         assert layers[0].edges.tolist() == [[0, 2], [1, 2]]
 
     def test_layers_edge_disjoint(self, rng):
         D = pairwise_distances(rng.standard_normal((11, 3)))
-        layers = kmst(D, 3, "min")
+        layers = kmst(D, 3, NEAREST)
         seen = set()
         for layer in layers:
             assert len(layer.edges) == 10
@@ -178,7 +179,7 @@ class TestKmst:
             [1.0, 1.9, 1.9, 0.0],
         ])
         with pytest.raises(StructuralError, match="only 1 complete"):
-            kmst(D, 2, "min")
+            kmst(D, 2, NEAREST)
 
 
 class TestUndirectedGraph:
@@ -556,7 +557,7 @@ class _UnionFind:
         return True
 
 
-def reference_kmst(D, k, direction="min"):
+def reference_kmst(D, k, direction=NEAREST):
     """The spanning-tree layers as first written: a union-find Kruskal pass
     over all edges in (weight, i, j) order per layer, skipping used edges.
     Only the error message is the current wording."""
@@ -564,7 +565,7 @@ def reference_kmst(D, k, direction="min"):
     n = D.shape[0]
     iu, ju = np.triu_indices(n, 1)
     w = D[iu, ju]
-    keys = w if direction == "min" else -w
+    keys = w if direction == NEAREST else -w
     perm = np.lexsort((ju, iu, keys))
     edge_list = list(zip(iu[perm].tolist(), ju[perm].tolist()))
     used = set()
@@ -599,7 +600,7 @@ class TestKmstOracle:
     def test_grid(self, n, kind):
         D = pairwise_distances(oracle_data(n, kind))
         kmax = n // 2
-        for direction in ("min", "max"):
+        for direction in (NEAREST, FARTHEST):
             # a reference layer never depends on k, so layers 1..k of the
             # largest complete run answer every k up to its length
             try:
@@ -623,7 +624,7 @@ class TestKmstOracle:
         # rounding leaves 17262 distinct weights among the 44850 edges
         z = np.random.default_rng(300).standard_normal((300, 50))
         D = pairwise_distances(np.round(z, 1) if kind == "rounded" else z)
-        for direction in ("min", "max"):
+        for direction in (NEAREST, FARTHEST):
             got = [g.edges.tolist() for g in kmst(D, 17, direction)]
             assert got == [g.edges.tolist() for g in reference_kmst(D, 17, direction)], direction
 
@@ -700,5 +701,5 @@ class TestDumpEdges:
 
     def test_undirected_sorted(self):
         G = UndirectedGraph(4, ((2, 3), (0, 1)))
-        lines = dump_edges(G).strip().split("\n")
-        assert lines == ["0\t1\t1", "2\t3\t1"]
+        lines = dump_edges(G, line_distances([0, 1, 3, 7])).strip().split("\n")
+        assert lines == ["0\t1\t1", "2\t3\t4"]

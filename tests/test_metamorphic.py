@@ -1,0 +1,55 @@
+"""Invariances of the test statistic under transformations of the data that
+carry no information about dependence.
+
+Every valid scheme/family pair runs on one Gaussian sample x (n=60, p=6)
+and y = x**2 + 0.5 * noise, with k=3 for the kmst family (its maximal layers
+need not exist at the default k) and the default k elsewhere.
+"""
+
+import numpy as np
+import pytest
+
+from gitest import ScoreConfig, run_test
+from gitest.scores import SCHEMES
+
+REL = 1e-12
+
+
+def _configs():
+    for scheme in SCHEMES:
+        for family in ("knn", "kmst", "robust_knn"):
+            try:
+                yield ScoreConfig(scheme=scheme, graph_family=family,
+                                  k=3 if family == "kmst" else "auto")
+            except ValueError:  # scheme and family do not combine
+                pass
+
+
+CONFIGS = list(_configs())
+
+
+@pytest.fixture(scope="module")
+def sample():
+    rng = np.random.default_rng(0)
+    x = rng.standard_normal((60, 6))
+    return x, x ** 2 + 0.5 * rng.standard_normal((60, 6))
+
+
+def test_every_valid_pair_is_covered():
+    assert len(CONFIGS) == 12
+
+
+@pytest.mark.parametrize("cfg", CONFIGS, ids=lambda c: f"{c.scheme}-{c.graph_family}")
+def test_swapping_x_and_y(sample, cfg):
+    x, y = sample
+    base, swapped = run_test(x, y, cfg), run_test(y, x, cfg)
+    assert swapped.df == base.df
+    assert swapped.statistic == pytest.approx(base.statistic, rel=REL, abs=0)
+
+
+@pytest.mark.parametrize("cfg", CONFIGS, ids=lambda c: f"{c.scheme}-{c.graph_family}")
+def test_affine_map_of_x(sample, cfg):
+    x, y = sample
+    base, mapped = run_test(x, y, cfg), run_test(3.7 * x + 1.0, y, cfg)
+    assert mapped.df == base.df
+    assert mapped.statistic == pytest.approx(base.statistic, rel=REL, abs=0)

@@ -3,8 +3,6 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from gitest.errors import DegenerateDataError, StructuralError
 from gitest.graphs import (
@@ -215,7 +213,7 @@ class TestGraphRank:
 
     def test_mst_layers_symmetric(self, rng):
         Z = rng.standard_normal((10, 3))
-        R = graph_rank_scores(kmst(pairwise_distances(Z), 3, "min"))
+        R = graph_rank_scores(kmst(pairwise_distances(Z), 3, NEAREST))
         assert np.array_equal(R.dense(), R.dense().T)
 
 

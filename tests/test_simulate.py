@@ -4,10 +4,8 @@ import numpy as np
 import pytest
 
 from gitest.rng import derive_seed, splitmix64_mix
-from gitest.scores import ScoreConfig
 from gitest.simulate import (
     SETTING_IDS,
-    PairedSample,
     SettingSpec,
     component_power,
     default_dimensions,
