@@ -85,17 +85,6 @@ def cross_summarize(Cs: ScoreMatrix, Cs2: ScoreMatrix) -> tuple[float, float]:
     return float(c2), float((Cs.row_sums * Cs2.row_sums).sum())
 
 
-def center(C: ScoreMatrix) -> ScoreMatrix:
-    """Subtract total / (n (n - 1)) from every off-diagonal entry, so the grand
-    sum becomes zero; the quadratic-form statistic is unchanged.  The result
-    stores every nonzero off-diagonal cell: a tool for small n."""
-    n = C.n
-    v = C.dense() - C.values.sum() / (n * (n - 1))
-    np.fill_diagonal(v, 0.0)
-    rows, cols = np.nonzero(v)
-    return ScoreMatrix(n, rows, cols, v[rows, cols])
-
-
 def symmetrize(C: ScoreMatrix) -> ScoreMatrix:
     """The average of the matrix and its transpose: the union of both cell
     sets, each value (C_ij + C_ji) / 2, an unstored term being zero."""

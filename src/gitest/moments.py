@@ -12,7 +12,7 @@ of (T1..T4) have closed forms that factor into per-sample summaries: the
 grand sums of the sample's two matrices and the 2x2 tables of their cross
 summaries c2 and c3 (``matrixcore.cross_summarize``).  ``null_moments``
 computes them once per sample and expands them to the four statistics by the
-pairing index; ``diagnostics`` does the same on the centered matrices.
+pairing index; ``diagnostics`` reports the same tables centered, in O(nnz).
 ``brute_force_moments`` provides the exhaustive-enumeration oracle.  All
 formulas require symmetric matrices with zero diagonals.
 """
@@ -26,7 +26,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import StructuralError
-from .matrixcore import ScoreMatrix, center, cross_summarize
+from .matrixcore import ScoreMatrix, cross_summarize
 
 #: eigenvalues below RANK_TOL times the largest count as zero
 RANK_TOL = 1e-10
@@ -104,13 +104,16 @@ def _sample_summaries(d: ScoreMatrix, s: ScoreMatrix) -> tuple[np.ndarray, np.nd
     return np.array([m.values.sum() for m in pair]), c2, c3
 
 
+def _centered(a1, a1p, a2, a3, n: int):
+    """(c2, c3) of two matrices less their off-diagonal means, from the raw (a1, a1p, a2, a3)."""
+    return a2 - a1 * a1p / (n * (n - 1)), a3 - a1 * a1p / n
+
+
 def _cov_from_summaries(a1, a1p, a2, a3, b1, b1p, b2, b3, n: int):
     """Null covariance of two statistics from their sides' grand sums (a1, a1p;
     b1, b1p) and cross summaries c2 (a2, b2) and c3 (a3, b3); elementwise on arrays."""
-    da3 = a3 - a1 * a1p / n
-    db3 = b3 - b1 * b1p / n
-    da2 = a2 - a1 * a1p / (n * (n - 1))
-    db2 = b2 - b1 * b1p / (n * (n - 1))
+    da2, da3 = _centered(a1, a1p, a2, a3, n)
+    db2, db3 = _centered(b1, b1p, b2, b3, n)
     return (
         4.0 * (n + 1) * da3 * db3 / (n * (n - 1) * (n - 2) * (n - 3))
         + 2.0 * da2 * db2 / (n * (n - 3))
@@ -172,7 +175,8 @@ def brute_force_moments(q: QuadrupleInputs) -> NullMoments:
 class DiagnosticsReport:
     """Raw finite-n quantities behind the normality and invertibility theory.
 
-    All summaries are computed on the centered matrices.  Side "A" holds each
+    All summaries are of the centered matrices; ``c2`` and ``c3`` are the
+    tables ``null_moments`` builds the covariance from.  Side "A" holds each
     statistic's X-side matrix and side "B" its Y-side one; keys "s" and "ss'"
     name statistics 1..4 (s <= s').  ``gram2`` is the Gram matrix of the four
     unit-normalized flattened A-matrices tensored with their B counterparts;
@@ -228,14 +232,21 @@ def diagnostics(q: QuadrupleInputs) -> DiagnosticsReport:
     report = {name: {} for name in ("c0_plus", "c1_plus", "c2", "c2_plus", "c3", "c3_plus")}
     tables, degenerate = {}, []
     for side, pick, pair in (("A", _X_SIDE, (q.dx, q.sx)), ("B", _Y_SIDE, (q.dy, q.sy))):
-        pair = [center(m) for m in pair]
-        _, c2, c3 = _sample_summaries(*pair)
-        absv = [ScoreMatrix(m.n, m.rows, m.cols, np.abs(m.values)) for m in pair]
-        _, c2_plus, c3_plus = _sample_summaries(*absv)
-        report["c0_plus"][side] = {str(s + 1): float(absv[m].values.max(initial=0.0))
-                                   for s, m in enumerate(pick)}
-        report["c1_plus"][side] = {str(s + 1): float(absv[m].row_sums.max())
-                                   for s, m in enumerate(pick)}
+        t, c2, c3 = _sample_summaries(*pair)
+        c2, c3 = _centered(t[:, None], t, c2, c3, n)
+        # C less its mean m is -m on an unstored cell, so |C - m| is a = |m|
+        # there and a + e on a stored cell v, e = |v - m| - a
+        a = np.abs(t / (n * (n - 1)))
+        dev = [np.abs(c.values - t_c / (n * (n - 1))) for c, t_c in zip(pair, t)]
+        e = [ScoreMatrix(n, c.rows, c.cols, d - a_c) for c, d, a_c in zip(pair, dev, a)]
+        te, c2e, c3e = _sample_summaries(*e)
+        cross, aa = np.outer(a, te) + np.outer(te, a), np.outer(a, a)
+        c2_plus = c2e + cross + n * (n - 1) * aa
+        c3_plus = c3e + (n - 1) * cross + n * (n - 1) ** 2 * aa
+        c0_plus = [d.max(initial=a_c if len(d) < n * (n - 1) else 0.0) for d, a_c in zip(dev, a)]
+        c1_plus = [(n - 1) * a_c + c.row_sums.max() for c, a_c in zip(e, a)]
+        report["c0_plus"][side] = {str(s + 1): float(c0_plus[m]) for s, m in enumerate(pick)}
+        report["c1_plus"][side] = {str(s + 1): float(c1_plus[m]) for s, m in enumerate(pick)}
         for name, t in (("c2", c2), ("c2_plus", c2_plus), ("c3", c3), ("c3_plus", c3_plus)):
             report[name][side] = {f"{s + 1}{sp + 1}": float(t[pick[s], pick[sp]])
                                   for s in range(4) for sp in range(s, 4)}

@@ -11,6 +11,15 @@ def dense_scores(M):
     return ScoreMatrix(M.shape[0], rows, cols, M[rows, cols])
 
 
+def center(C):
+    """``C`` less total / (n (n - 1)) on every off-diagonal cell, so the grand
+    sum becomes zero: a dense score matrix storing every nonzero cell."""
+    n = C.n
+    v = C.dense() - C.values.sum() / (n * (n - 1))
+    np.fill_diagonal(v, 0.0)
+    return dense_scores(v)
+
+
 def random_symmetric_scores(rng, n, low=-3, high=3):
     """Integer-valued symmetric score matrix with a zero diagonal."""
     M = rng.integers(low, high + 1, size=(n, n)).astype(float)

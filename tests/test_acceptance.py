@@ -5,7 +5,6 @@ on failure).  The Monte Carlo criteria use fixed seeds, so outcomes are
 deterministic.
 """
 
-import itertools
 import math
 import time
 
@@ -20,12 +19,11 @@ from gitest.inference import (
     quadruple_from_samples,
     run_test,
 )
-from gitest.matrixcore import center
 from gitest.moments import QuadrupleInputs, brute_force_moments, null_moments
 from gitest.rng import derive_seed
 from gitest.simulate import SettingSpec, component_power, estimate_power, generate
 
-from conftest import make_quadruple
+from conftest import center, make_quadruple
 from test_graphs import exhaustive_best_objective
 
 

@@ -1,5 +1,5 @@
 """The package surface: the names ``gitest`` exports, and no module in the
-package or in ``scripts/`` importing a name it never uses."""
+package, ``scripts/`` or ``tests/`` importing a name it never uses."""
 
 import ast
 import pathlib
@@ -9,7 +9,7 @@ import pytest
 import gitest
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
-MODULES = sorted([*(ROOT / "src" / "gitest").glob("*.py"), *(ROOT / "scripts").glob("*.py")])
+MODULES = sorted(p for d in ("src/gitest", "scripts", "tests") for p in (ROOT / d).glob("*.py"))
 
 #: the entry points the README, the CLI and the scripts call, the types they
 #: take or return, and the error classes

@@ -42,8 +42,8 @@ GOLDEN = {
     "test-adjacency-robust_knn": "a15d7069f62242d7a596b7a165ece05fcc1efbe38fd3c399c9d34a10c95b54b2",
     "test-distance_weight-kmst": "ae57fb3013adc785d77edf42c95994fe913548f3e56c1b098afc8c96317f6cf4",
     "test-graph_rank-knn": "65ad94477f234db8db7a3f633618163e07660059686bd2b96edc8c5f427d82af",
-    "diagnose": "55365e799d67ea367aa9a6b387c8ec9dec6d70811a4d286975f84b9a04473196",
-    "diagnose-kernel_weight-knn": "8b2fa2e9c88865a6333e5248b7a5d7710bb091cdefb3f08bb3995d49ce78a5aa",
+    "diagnose": "d02e234daa1d997f26d60c68ec93403c83938e1940714de8094060f9cb5e1411",
+    "diagnose-kernel_weight-knn": "7c822009f9aea0fc8e944d83f35d81129fd1976b57a3ff684c47d1ac2ec797d4",
     "graph-knn": "c459ddef31febc4f41e6f8fbb169777f7524f95c847f5f78f6dedb94a7e54e2c",
     "graph-kfp": "ecfab0d5febab026ab3b9fb09412d4e5c1781030cc3ca03e1fe76adde268fc1c",
     "graph-kmst": "9c8c9c96d054ce3194349d68b215b876bfc394bf0196b367a79a7e7e3224b6a0",

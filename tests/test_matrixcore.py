@@ -4,10 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gitest.errors import StructuralError
-from gitest.matrixcore import ScoreMatrix, center, cross_summarize, symmetrize
+from gitest.matrixcore import ScoreMatrix, cross_summarize, symmetrize
 from gitest.moments import QuadrupleInputs, diagnostics
 
-from conftest import dense_scores, make_quadruple, random_symmetric_scores
+from conftest import center, dense_scores, make_quadruple, random_symmetric_scores
 
 
 mat = dense_scores

@@ -1,5 +1,7 @@
 import itertools
 import json
+import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -8,9 +10,12 @@ from hypothesis import strategies as st
 
 from gitest.errors import StructuralError
 from gitest.inference import quadruple_from_samples
-from gitest.matrixcore import center, cross_summarize
+from gitest.matrixcore import cross_summarize
 from gitest.moments import (
+    _X_SIDE,
+    _Y_SIDE,
     QuadrupleInputs,
+    _cov_from_summaries,
     brute_force_moments,
     diagnostics,
     null_moments,
@@ -18,7 +23,7 @@ from gitest.moments import (
 )
 from gitest.scores import ScoreConfig
 
-from conftest import dense_scores, make_quadruple, random_symmetric_scores
+from conftest import center, dense_scores, make_quadruple, random_symmetric_scores
 
 
 def ones_matrix(n):
@@ -313,3 +318,87 @@ class TestDiagnostics:
         for side in ("A", "B"):
             for s in ("11", "22", "33", "44"):
                 assert rep.c2[side][s] == pytest.approx(rep.c2_plus[side][s], rel=1e-12)
+
+    @staticmethod
+    def tables(field: dict, side: str) -> np.ndarray:
+        """A report table as the symmetric 4x4 array over statistics 1..4."""
+        return np.array([[field[side][f"{min(s, sp) + 1}{max(s, sp) + 1}"] for sp in range(4)]
+                         for s in range(4)])
+
+    @pytest.mark.parametrize("scheme, graph", [
+        ("robust_rank", "robust_knn"), ("kernel_weight", "knn"), ("distance_weight", "kmst"),
+    ])
+    def test_c2_c3_are_the_tables_sigma_is_built_from(self, scheme, graph):
+        rng = np.random.default_rng(4)
+        x = rng.standard_normal((30, 5))
+        y = np.log(np.abs(x)) + 0.5 * rng.standard_normal((30, 5))
+        q = quadruple_from_samples(x, y, ScoreConfig(scheme=scheme, graph_family=graph, k=3))
+        rep = diagnostics(q)
+        # centered tables have zero grand sums, which _cov_from_summaries then subtracts exactly
+        sigma = _cov_from_summaries(0.0, 0.0, self.tables(rep.c2, "A"), self.tables(rep.c3, "A"),
+                                    0.0, 0.0, self.tables(rep.c2, "B"), self.tables(rep.c3, "B"),
+                                    q.n)
+        assert np.array_equal(sigma, null_moments(q).sigma)
+
+    @pytest.mark.parametrize("case", ["graph_rank", "kernel_weight", "all_ones"])
+    def test_matches_exact_rational_arithmetic_over_every_cell(self, case):
+        if case == "all_ones":
+            q = quadruple_from([ones_matrix(5) for _ in range(4)])
+        else:
+            rng = np.random.default_rng(11)
+            x = rng.standard_normal((8, 3))
+            y = x[:, :2] ** 2 + rng.standard_normal((8, 2))
+            q = quadruple_from_samples(x, y, ScoreConfig(scheme=case, graph_family="knn", k=2))
+        rep = diagnostics(q).to_json_dict()
+        for side, pick, pair in (("A", _X_SIDE, (q.dx, q.sx)), ("B", _Y_SIDE, (q.dy, q.sy))):
+            for name, exact in exact_side_summaries(pair).items():
+                got = rep[name][side]
+                if name in ("c0_plus", "c1_plus"):
+                    pairs = [(got[str(s + 1)], exact[m]) for s, m in enumerate(pick)]
+                else:
+                    pairs = [(got[f"{s + 1}{sp + 1}"], exact[pick[s]][pick[sp]])
+                             for s in range(4) for sp in range(s, 4)]
+                scale = max(abs(w) for _, w in pairs)
+                for g, w in pairs:
+                    assert abs(Fraction(g) - w) <= Fraction(1e-14) * scale, (name, side, g, float(w))
+
+
+def exact_side_summaries(pair) -> dict:
+    """One side's centered c2 and c3 tables and c0+..c3+ of its (d, s) pair,
+    summed over all n(n - 1) off-diagonal cells in exact rational arithmetic."""
+    n = pair[0].n
+    cells = [(i, j) for i in range(n) for j in range(n) if i != j]
+    centered = []
+    for m in pair:
+        v = {c: Fraction(x) for c, x in zip(cells, m.dense()[tuple(zip(*cells))])}
+        mean = sum(v.values()) / len(cells)
+        centered.append({c: x - mean for c, x in v.items()})
+    absolute = [{c: abs(x) for c, x in m.items()} for m in centered]
+    out = {"c0_plus": [max(m.values()) for m in absolute]}
+    for suffix, mats in (("", centered), ("_plus", absolute)):
+        rows = [[sum(m[i, j] for j in range(n) if j != i) for i in range(n)] for m in mats]
+        out["c2" + suffix] = [[sum(mats[a][c] * mats[b][c] for c in cells) for b in (0, 1)]
+                              for a in (0, 1)]
+        out["c3" + suffix] = [[sum(u * w for u, w in zip(rows[a], rows[b])) for b in (0, 1)]
+                              for a in (0, 1)]
+        if suffix:
+            out["c1_plus"] = [max(r) for r in rows]
+    return out
+
+
+def test_diagnostics_memory_peak_is_below_one_dense_matrix():
+    # densely centered copies of the four score matrices peaked at 20 x 8n^2
+    # bytes; the edge-list summaries peak at 0.38 x 8n^2 with numpy 2.4
+    n = 2000
+    rng = np.random.default_rng(0)
+    x = rng.standard_normal((n, 10))
+    y = np.log(np.abs(x)) + rng.standard_normal((n, 10))
+    q = quadruple_from_samples(x, y, ScoreConfig(scheme="adjacency", graph_family="knn"))
+    diagnostics(q)  # imports and caches outside the trace
+    tracemalloc.start()
+    try:
+        diagnostics(q)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * n * n
