@@ -218,6 +218,17 @@ def _root(parent: list[int], a: int) -> int:
     return a
 
 
+def _stable_argsort(key: np.ndarray) -> np.ndarray:
+    """``np.argsort(key, kind="stable")``, taken from the unstable sort,
+    several times faster, when no two keys are equal.  A function of its
+    own, so that ``key`` and its sorted copy are freed when it returns."""
+    perm = np.argsort(key)
+    srt = key[perm]
+    if (srt[1:] == srt[:-1]).any():
+        return np.argsort(key, kind="stable")
+    return perm
+
+
 def kmst(D, k: int, direction: str = NEAREST) -> list[UndirectedGraph]:
     """k edge-disjoint spanning trees, greedily minimal (``NEAREST``) or
     maximal (``FARTHEST``).
@@ -227,7 +238,11 @@ def kmst(D, k: int, direction: str = NEAREST) -> list[UndirectedGraph]:
     One pass over that order builds them all: each edge goes to the first
     layer whose forest it does not close a cycle in, so layer m sees exactly
     the edges that layers 1..m-1 rejected, in order.  A layer only joins
-    nodes that the layer before it had joined, so the layers span in order,
+    nodes that the layer before it had joined, so the forests nest: the
+    layers that already join an edge's endpoints are a prefix of the layers
+    that do not span yet.  An edge the last layer joins is therefore
+    rejected by every layer, and any other edge goes to the first layer
+    that does not join it, found by bisection.  The layers span in order,
     and a spanning layer, which rejects every edge, is skipped.  Raises if
     some layer cannot span, reporting how many layers are complete.
     """
@@ -236,24 +251,33 @@ def kmst(D, k: int, direction: str = NEAREST) -> list[UndirectedGraph]:
     _check_direction(direction)
     if not 1 <= k <= n // 2:
         raise ValueError(f"k={k} out of range [1, {n // 2}] for n={n}")
+    # (i, j) in lexicographic order: a stable sort by weight keeps it among ties
     iu, ju = np.triu_indices(n, 1)
-    perm = np.lexsort((ju, iu, D[iu, ju] if direction == NEAREST else -D[iu, ju]))
+    perm = _stable_argsort(D[iu, ju] if direction == NEAREST else -D[iu, ju])
     parents = [list(range(n)) for _layer in range(k)]
+    last = parents[-1]
     trees = [[] for _layer in range(k)]
     done = 0  # layers 1..done span
     # chunks of 2^16 edges: only one chunk's edges are alive as Python ints
     for chunk in np.split(perm, range(1 << 16, len(perm), 1 << 16)):
         for i, j in zip(iu[chunk].tolist(), ju[chunk].tolist()):
-            for layer in range(done, k):
-                parent = parents[layer]
-                a, b = _root(parent, i), _root(parent, j)
-                if a != b:
-                    parent[a] = b
-                    trees[layer].append((i, j))
-                    done += len(trees[layer]) == n - 1
-                    break
-            if done == k:
-                return [UndirectedGraph(n, tree) for tree in trees]
+            if _root(last, i) == _root(last, j):
+                continue
+            lo, hi = done, k - 1  # the first layer in lo..hi that does not join i, j
+            while lo < hi:
+                mid = (lo + hi) // 2
+                parent = parents[mid]
+                if _root(parent, i) == _root(parent, j):
+                    lo = mid + 1
+                else:
+                    hi = mid
+            parent = parents[lo]
+            parent[_root(parent, i)] = _root(parent, j)
+            trees[lo].append((i, j))
+            if len(trees[lo]) == n - 1:
+                done += 1
+                if done == k:
+                    return [UndirectedGraph(n, tree) for tree in trees]
     raise StructuralError(
         f"greedy layering found only {done} complete spanning layers, "
         f"{k} requested; use k <= {done}"
@@ -315,15 +339,18 @@ def robust_graph(D, k: int, lam: float, direction: str = NEAREST,
     after rounding too), so once the first rank past the prefix plus lam
     exceeds the k-th best cost inside it, the prefix holds the whole
     selection; otherwise the prefix doubles, up to all n - 1 candidates.
-    Each node keeps its prefix length across sweeps.
+    Each node keeps its prefix across sweeps: views of the first m entries
+    of its table rows (candidates, ranks, membership) and the bound, rank m
+    plus lam, as a Python float, rebuilt only when m doubles.
 
     The candidates come from a table of each node's first min(8k + 1, n) in
     (rank, index) order (``neighbor_rank_rows`` at that width); the first
-    prefix that would read past it widens the table to full rows, once.  A
-    node's current set is held as positions in its table row, in the order
-    it was chosen, with a 0/1 membership row over those positions, so a
-    visit prices its candidates' in-degrees excluding itself without
-    touching the shared in-degrees unless the set changes.
+    prefix that would read past it widens the table to full rows, once, and
+    rebuilds every node's views at that node's own m.  A node's current set
+    is held as positions in its table row, in the order it was chosen, with
+    a 0/1 membership row over those positions, so a visit prices its
+    candidates' in-degrees excluding itself without touching the shared
+    in-degrees unless the set changes.
 
     Nodes are visited in ascending order of their nearest-neighbor distance
     (ties by index), a label-invariant order: relabeling the observations
@@ -356,27 +383,34 @@ def robust_graph(D, k: int, lam: float, direction: str = NEAREST,
     member = np.zeros((n, width), dtype=np.intp)
     member[:, :k] = 1
     indeg = init.in_degrees().astype(np.intp)
+    del init
     pen = lam * (2.0 * np.arange(n) + 1.0)  # marginal penalty, by indeg_excl
-    prefix = [min(2 * k, n - 1)] * n
+
+    def prefix(i, m):
+        """Node i's first m candidates, their ranks and membership, and the
+        bound on every later candidate's cost (inf when none is left)."""
+        bound = float(ranks[i, m]) + lam if m < n - 1 else np.inf
+        return m, order[i, :m], ranks[i, :m], member[i, :m], bound
+
+    prefixes = [prefix(i, min(2 * k, n - 1)) for i in range(n)]
     for _sweep in range(max_sweeps):
         changed = False
         for i in visit:
-            row, ri, mem = order[i], ranks[i], member[i]
-            m = prefix[i]
+            m, pool, r, mem, bound = prefixes[i]
             while True:
-                pool = row[:m]
-                cost = ri[:m] + pen[indeg[pool] - mem[:m]]
+                cost = r + pen[indeg[pool] - mem]
                 # stable: equal costs keep the pool's (rank, index) order
                 sel = cost.argsort(kind="stable")[:k]
-                if m == n - 1 or ri[m] + lam > cost[sel[-1]]:
+                # at m = n - 1 the bound is inf, which a cost overflowed to inf ties
+                if bound > cost[sel[-1]] or m == n - 1:
                     break
                 m = min(2 * m, n - 1)
-                if m >= width:  # the bound needs ri[m]: widen to full rows
+                if m >= width:  # the bound needs rank m: widen to full rows
                     order, ranks = _rank_rows(D, direction, n)
                     member = np.hstack([member, np.zeros((n, n - width), dtype=np.intp)])
                     width = n
-                    row, ri, mem = order[i], ranks[i], member[i]
-            prefix[i] = m
+                    prefixes = [prefix(j, p[0]) for j, p in enumerate(prefixes)]
+                m, pool, r, mem, bound = prefixes[i] = prefix(i, m)
             if np.count_nonzero(mem[sel]) == k:
                 # the same set again: both totals would sum the same k
                 # positive costs, in two orders, so they differ by at most
@@ -387,7 +421,7 @@ def robust_graph(D, k: int, lam: float, direction: str = NEAREST,
             new_total = float(np.add.reduce(cost[sel]))
             old_total = float(np.add.reduce(cost[cur]))
             if new_total < old_total - 1e-9 * (1.0 + abs(old_total)):
-                indeg[row[cur]] -= 1
+                indeg[pool[cur]] -= 1
                 indeg[pool[sel]] += 1
                 mem[cur] = 0
                 mem[sel] = 1

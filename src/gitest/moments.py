@@ -183,6 +183,9 @@ class DiagnosticsReport:
     ``gram3`` the analogue built from row-sum vectors.
     ``variance_regime_ratio`` compares the entrywise variance proxy
     2 n^-2 A2 B2 against the row-sum proxy 4 n^-3 A3 B3 per statistic.
+    ``degenerate`` names every centered normalizer, a c2 or c3 diagonal
+    entry, that is at most 1e-12 times its uncentered value, so zero up to
+    rounding; a flagged statistic's ratio is inf.
     ``sigma_rank`` and ``sigma_condition`` are the rank and condition
     estimate of the null covariance, as ``null_moments`` reports them.
     """
@@ -230,10 +233,10 @@ def diagnostics(q: QuadrupleInputs) -> DiagnosticsReport:
     """Summaries, Gram spectra and variance-regime ratios for the inputs."""
     n = q.n
     report = {name: {} for name in ("c0_plus", "c1_plus", "c2", "c2_plus", "c3", "c3_plus")}
-    tables, degenerate = {}, []
+    tables, degenerate, flagged = {}, [], set()
     for side, pick, pair in (("A", _X_SIDE, (q.dx, q.sx)), ("B", _Y_SIDE, (q.dy, q.sy))):
-        t, c2, c3 = _sample_summaries(*pair)
-        c2, c3 = _centered(t[:, None], t, c2, c3, n)
+        t, raw2, raw3 = _sample_summaries(*pair)
+        c2, c3 = _centered(t[:, None], t, raw2, raw3, n)
         # C less its mean m is -m on an unstored cell, so |C - m| is a = |m|
         # there and a + e on a stored cell v, e = |v - m| - a
         a = np.abs(t / (n * (n - 1)))
@@ -250,11 +253,13 @@ def diagnostics(q: QuadrupleInputs) -> DiagnosticsReport:
         for name, t in (("c2", c2), ("c2_plus", c2_plus), ("c3", c3), ("c3_plus", c3_plus)):
             report[name][side] = {f"{s + 1}{sp + 1}": float(t[pick[s], pick[sp]])
                                   for s in range(4) for sp in range(s, 4)}
-        for s, m in enumerate(pick, start=1):
-            if c2[m, m] == 0.0:
-                degenerate.append(f"{side}{s}: zero entrywise normalizer")
-            if c3[m, m] == 0.0:
-                degenerate.append(f"{side}{s}: zero row-sum normalizer")
+        # a normalizer within rounding of zero is zero: centering a constant
+        # score leaves about 1e-16 of its uncentered sum of squares, of either sign
+        for s, m in enumerate(pick):
+            for c, raw, what in ((c2, raw2, "entrywise"), (c3, raw3, "row-sum")):
+                if c[m, m] <= 1e-12 * raw[m, m]:
+                    degenerate.append(f"{side}{s + 1}: zero {what} normalizer")
+                    flagged.add(s)
         grid = np.ix_(pick, pick)
         tables[side] = c2[grid], c3[grid]
 
@@ -265,7 +270,7 @@ def diagnostics(q: QuadrupleInputs) -> DiagnosticsReport:
     for s in range(4):
         num = 2.0 * a2[s, s] * b2[s, s] / n**2
         den = 4.0 * a3[s, s] * b3[s, s] / n**3
-        ratio[str(s + 1)] = float(num / den) if den > 0 else math.inf
+        ratio[str(s + 1)] = float(num / den) if den > 0 and s not in flagged else math.inf
 
     moments = null_moments(q)
     return DiagnosticsReport(

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.spatial.distance import pdist, squareform
 
+from gitest import graphs
 from gitest.errors import StructuralError
 from gitest.graphs import (
     Digraph,
@@ -430,6 +431,28 @@ class TestRobustGraphOracle:
         D = pairwise_distances(oracle_data(300, "gaussian"))
         assert_matches_reference(D, (NEAREST, FARTHEST), (1e300,), (2,), (1, 20))
 
+    @pytest.mark.parametrize("Z, k, lam", [
+        (np.random.default_rng(24).integers(0, 3, size=(24, 2)).astype(float), 1, 1.5),
+        (oracle_data(50, "gaussian"), 2, 2.0),
+    ], ids=["integer-n24", "gaussian-n50"])
+    def test_widens_after_prefixes_grew(self, Z, k, lam, monkeypatch):
+        # other nodes already hold prefixes of 8k when a farthest prefix
+        # outgrows the table, and each must keep its own length and its set
+        # on the widened table: rebuilt at 2k, a node of the integer case
+        # would read its current set past its prefix; left on the old table,
+        # the gaussian case's sets would part from the widened table's
+        widths = []
+        rank_rows = graphs._rank_rows
+
+        def recording(D, direction, width):
+            widths.append(width)
+            return rank_rows(D, direction, width)
+
+        monkeypatch.setattr(graphs, "_rank_rows", recording)
+        D = pairwise_distances(Z)
+        assert_matches_reference(D, (FARTHEST,), (lam,), (k,), (20,))
+        assert widths == [k, 8 * k + 1, len(Z)]  # k-NN start, table, one widening
+
     def test_non_finite_lambda(self):
         # an inf or nan penalty makes every cost inf or nan, so no move would
         # ever count as an improvement: it is refused instead
@@ -627,6 +650,42 @@ class TestKmstOracle:
         for direction in (NEAREST, FARTHEST):
             got = [g.edges.tolist() for g in kmst(D, 17, direction)]
             assert got == [g.edges.tolist() for g in reference_kmst(D, 17, direction)], direction
+
+
+class TestKmstNesting:
+    """The layers nest, so an edge joined by the last layer is rejected by
+    every layer and any other edge goes to the first layer that does not
+    join its endpoints, found by bisection."""
+
+    def test_outlier_star(self):
+        # the first maximal spanning tree of y is a star around one outlier;
+        # it takes every edge of that node, so no second layer can span
+        r = np.random.default_rng(5)
+        x = r.standard_normal((60, 6))
+        y = np.log(np.abs(x)) + 0.5 * r.standard_normal((60, 6))
+        D = pairwise_distances(y)
+        (star,) = kmst(D, 1, FARTHEST)
+        assert (star.edges == 33).any(axis=1).all()
+        with pytest.raises(StructuralError, match="only 1 complete"):
+            kmst(D, 2, FARTHEST)
+
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 40))
+    @settings(max_examples=60, deadline=None)
+    def test_tied_integer_data(self, seed, n):
+        # three values per coordinate: many equal weights, and layerings
+        # that stop before n // 2 layers
+        r = np.random.default_rng(seed)
+        D = pairwise_distances(r.integers(0, 3, size=(n, 2)).astype(float))
+        for direction in (NEAREST, FARTHEST):
+            for k in range(1, n // 2 + 1):
+                try:
+                    want = [g.edges.tolist() for g in reference_kmst(D, k, direction)]
+                except StructuralError as exc:
+                    with pytest.raises(StructuralError) as got:
+                        kmst(D, k, direction)
+                    assert str(got.value) == str(exc), (direction, k)
+                    continue
+                assert [g.edges.tolist() for g in kmst(D, k, direction)] == want, (direction, k)
 
 
 def test_kmst_memory_peak():

@@ -303,6 +303,15 @@ class TestDiagnostics:
         json.dumps(d)  # non-finite regime ratios must serialize as null
         assert all(v is None for v in d["variance_regime_ratio"].values())
 
+    @pytest.mark.parametrize("v", [1.0, 0.1, 0.3])
+    def test_constant_scores_flag_every_normalizer(self, v):
+        # a constant score centers to zero up to rounding, which need not
+        # be exact: at v = 0.1 a c2 diagonal is +2.8e-16, at v = 0.3 -1.8e-15
+        M = dense_scores(v * (1.0 - np.eye(7)))
+        rep = diagnostics(QuadrupleInputs(sx=M, dx=M, sy=M, dy=M))
+        assert len(rep.degenerate) == 16  # c2 and c3, 4 statistics, 2 sides
+        assert all(r is None for r in rep.to_json_dict()["variance_regime_ratio"].values())
+
     def test_json_fields(self, rng):
         rep = diagnostics(make_quadruple(rng, 8)).to_json_dict()
         for field in ("c0_plus", "c1_plus", "c2", "c2_plus", "c3", "c3_plus",
