@@ -218,17 +218,6 @@ def _root(parent: list[int], a: int) -> int:
     return a
 
 
-def _stable_argsort(key: np.ndarray) -> np.ndarray:
-    """``np.argsort(key, kind="stable")``, taken from the unstable sort,
-    several times faster, when no two keys are equal.  A function of its
-    own, so that ``key`` and its sorted copy are freed when it returns."""
-    perm = np.argsort(key)
-    srt = key[perm]
-    if (srt[1:] == srt[:-1]).any():
-        return np.argsort(key, kind="stable")
-    return perm
-
-
 def kmst(D, k: int, direction: str = NEAREST) -> list[UndirectedGraph]:
     """k edge-disjoint spanning trees, greedily minimal (``NEAREST``) or
     maximal (``FARTHEST``).
@@ -253,7 +242,7 @@ def kmst(D, k: int, direction: str = NEAREST) -> list[UndirectedGraph]:
         raise ValueError(f"k={k} out of range [1, {n // 2}] for n={n}")
     # (i, j) in lexicographic order: a stable sort by weight keeps it among ties
     iu, ju = np.triu_indices(n, 1)
-    perm = _stable_argsort(D[iu, ju] if direction == NEAREST else -D[iu, ju])
+    perm = np.argsort(D[iu, ju] if direction == NEAREST else -D[iu, ju], kind="stable")
     parents = [list(range(n)) for _layer in range(k)]
     last = parents[-1]
     trees = [[] for _layer in range(k)]
@@ -388,9 +377,8 @@ def robust_graph(D, k: int, lam: float, direction: str = NEAREST,
 
     def prefix(i, m):
         """Node i's first m candidates, their ranks and membership, and the
-        bound on every later candidate's cost (inf when none is left)."""
-        bound = float(ranks[i, m]) + lam if m < n - 1 else np.inf
-        return m, order[i, :m], ranks[i, :m], member[i, :m], bound
+        bound on every later candidate's cost."""
+        return m, order[i, :m], ranks[i, :m], member[i, :m], float(ranks[i, m]) + lam
 
     prefixes = [prefix(i, min(2 * k, n - 1)) for i in range(n)]
     for _sweep in range(max_sweeps):
@@ -401,7 +389,6 @@ def robust_graph(D, k: int, lam: float, direction: str = NEAREST,
                 cost = r + pen[indeg[pool] - mem]
                 # stable: equal costs keep the pool's (rank, index) order
                 sel = cost.argsort(kind="stable")[:k]
-                # at m = n - 1 the bound is inf, which a cost overflowed to inf ties
                 if bound > cost[sel[-1]] or m == n - 1:
                     break
                 m = min(2 * m, n - 1)
