@@ -2,7 +2,7 @@
 
 Subcommands:
     test      run the independence test on two CSV samples
-    simulate  Monte Carlo power / size for a named setting
+    simulate  Monte Carlo power / size over a grid of settings, n and p
     diagnose  dump moment diagnostics and Gram spectra for two CSV samples
     graph     dump a neighbor graph as a tab-separated edge list
 
@@ -24,7 +24,6 @@ from .graphs import dump_edges, pairwise_distances
 from .inference import quadruple_from_samples, run_test
 from .moments import diagnostics
 from .scores import FAMILIES, GRAPHS, SCHEMES, ScoreConfig, union_graph
-from .simulate import SETTING_IDS, SettingSpec, default_dimensions
 
 EXIT_OK = 0
 EXIT_DATA = 2
@@ -183,44 +182,49 @@ def cmd_test(args) -> int:
 def cmd_simulate(args) -> int:
     if args.reps < 1:
         raise UsageError("--reps must be positive")
-    n, p = default_dimensions(args.setting)
-    spec = SettingSpec(
-        id=args.setting,
-        n=args.n if args.n is not None else n,
-        p=args.p if args.p is not None else p,
-        seed=args.seed,
-    )
     if args.sweep_alphas and args.components:
         raise UsageError("--sweep-alphas and --components are separate reports; pick one")
+    if args.components and args.method == "permutation":
+        raise UsageError("--components reports analytic p-values only; "
+                         "drop --method permutation")
+    if args.plot_data and args.format == "json":
+        raise UsageError("--plot-data writes CSV; drop --format json")
+    if args.timing and (args.sweep_alphas or args.components or args.plot_data):
+        raise UsageError("--timing applies to the power report only; the long format "
+                         "has no runtime column")
+    # every cell is built before the first replication, so a bad one fails first
+    specs = [sim.SettingSpec(setting, n, p, seed=args.seed)
+             for setting in args.setting
+             for n in args.n or [sim.default_dimensions(setting)[0]]
+             for p in args.p or [sim.default_dimensions(setting)[1]]]
     threads = _threads(args)  # checked on every report, used by the power estimate
+    reps, level = args.reps, args.level
     if args.sweep_alphas:
         alphas = [float(a) for a in args.sweep_alphas.split(",")]
-        rows = sim.k_sweep(spec, alphas, reps=args.reps, level=args.level, method=args.method)
-        tidy = sim.tidy_from_sweep(spec, rows, args.reps, args.level, args.method)
-        if args.format == "json":
-            print(json.dumps(tidy, indent=2))
-        else:
-            sys.stdout.write(sim.tidy_csv(tidy))
-        return EXIT_OK
-    if args.components:
-        if args.method == "permutation":
-            raise UsageError("--components reports analytic p-values only; "
-                             "drop --method permutation")
-        comp = sim.component_power(spec, reps=args.reps, level=args.level)
-        tidy = sim.tidy_from_components(spec, comp, args.reps, args.level)
-        if args.format == "json":
-            print(json.dumps(tidy, indent=2))
-        else:
-            sys.stdout.write(sim.tidy_csv(tidy))
-        return EXIT_OK
-    est = sim.estimate_power(spec, method=args.method, reps=args.reps,
-                             level=args.level, threads=threads)
-    if args.plot_data:
-        sys.stdout.write(sim.tidy_csv(sim.tidy_from_estimate(est)))
-    elif args.format == "json":
-        print(json.dumps(sim.power_json([est], timing=args.timing), indent=2))
+        rows = [sim.tidy_row(spec, reps, level, args.method, "GIT", row["power"],
+                             f"alpha={row['alpha']:g}")
+                for spec in specs
+                for row in sim.k_sweep(spec, alphas, reps=reps, level=level,
+                                       method=args.method)]
+    elif args.components:
+        rows = [sim.tidy_row(spec, reps, level, "analytic", name, power)
+                for spec in specs
+                for name, power in sim.component_power(spec, reps=reps, level=level).items()]
     else:
-        sys.stdout.write(sim.power_csv([est], timing=args.timing))
+        estimates = [sim.estimate_power(spec, method=args.method, reps=reps, level=level,
+                                        threads=threads) for spec in specs]
+        if not args.plot_data:
+            if args.format == "json":
+                print(json.dumps(sim.power_json(estimates, timing=args.timing), indent=2))
+            else:
+                sys.stdout.write(sim.power_csv(estimates, timing=args.timing))
+            return EXIT_OK
+        rows = [sim.tidy_row(e.setting, reps, level, e.method, "GIT", e.power)
+                for e in estimates]
+    if args.format == "json":
+        print(json.dumps(rows, indent=2))
+    else:
+        sys.stdout.write(sim.tidy_csv(rows))
     return EXIT_OK
 
 
@@ -258,11 +262,13 @@ def build_parser() -> _Parser:
     p_test.add_argument("--threads", type=int, default=None)
     p_test.set_defaults(func=cmd_test)
 
-    p_sim = sub.add_parser("simulate", help="Monte Carlo power / size")
-    p_sim.add_argument("--setting", required=True, choices=SETTING_IDS,
-                       metavar="SETTING", help=f"one of: {', '.join(SETTING_IDS)}")
-    p_sim.add_argument("--n", type=int, default=None)
-    p_sim.add_argument("--p", type=int, default=None)
+    p_sim = sub.add_parser("simulate", help="Monte Carlo power / size over a grid",
+                           description="Monte Carlo power / size over every setting x n x "
+                           "p cell: setting outermost, then n, then p.")
+    p_sim.add_argument("--setting", required=True, nargs="+", choices=sim.SETTING_IDS,
+                       metavar="SETTING", help=f"one or more of: {', '.join(sim.SETTING_IDS)}")
+    p_sim.add_argument("--n", type=int, nargs="+", help="sample sizes (default: per setting)")
+    p_sim.add_argument("--p", type=int, nargs="+", help="dimensions (default: per setting)")
     p_sim.add_argument("--reps", type=int, default=200)
     p_sim.add_argument("--level", type=float, default=0.05)
     p_sim.add_argument("--method", choices=("analytic", "permutation"), default="analytic")

@@ -398,7 +398,7 @@ def robust_graph(D, k: int, lam: float, direction: str = NEAREST,
                     width = n
                     prefixes = [prefix(j, p[0]) for j, p in enumerate(prefixes)]
                 m, pool, r, mem, bound = prefixes[i] = prefix(i, m)
-            if np.count_nonzero(mem[sel]) == k:
+            if 0 not in mem[sel].tolist():
                 # the same set again: both totals would sum the same k
                 # positive costs, in two orders, so they differ by at most
                 # 2(k - 1) roundings of the total, far inside the 1e-9

@@ -274,23 +274,48 @@ class PowerEstimate:
     method: str = "analytic"
 
 
+class _Overrides(dict):
+    """A recipe's overrides, noting each key the recipe looks up."""
+
+    def __init__(self, items):
+        super().__init__(items)
+        self.read = set()
+
+    def get(self, key, default=None):
+        self.read.add(key)
+        return super().get(key, default)
+
+    def __contains__(self, key):
+        self.read.add(key)
+        return super().__contains__(key)
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
+
+
 def generate(spec: SettingSpec) -> PairedSample:
-    """Draw one paired sample per the setting's recipe, fixed by spec.seed."""
+    """Draw one paired sample per the setting's recipe, fixed by spec.seed.
+
+    Raises ValueError naming every override key the recipe never looks up,
+    so a misspelled override cannot pass unnoticed.
+    """
     rng = np.random.Generator(np.random.PCG64(spec.seed))
-    x, y = _GENERATORS[spec.id](rng, spec.n, spec.p, dict(spec.overrides))
+    ov = _Overrides(spec.overrides)
+    x, y = _GENERATORS[spec.id](rng, spec.n, spec.p, ov)
+    unread = sorted(set(ov) - ov.read)
+    if unread:
+        raise ValueError(f"setting {spec.id!r} reads no override named "
+                         f"{', '.join(map(repr, unread))}")
     return PairedSample(np.asarray(x, dtype=np.float64), np.asarray(y, dtype=np.float64))
 
 
-def _p_value_for(x, y, cfg, method, n_perm, rep_master, threads) -> float:
-    if callable(method):
-        return float(method(x, y, derive_seed(rep_master, 1)))
-    q = quadruple_from_samples(x, y, cfg)
-    if method == "analytic":
-        return git_test(q, cfg).p_analytic
-    if method == "permutation":
-        return permutation_test(q, n_perm=n_perm, seed=derive_seed(rep_master, 1),
-                                threads=threads)
-    raise ValueError(f"unknown method {method!r}")
+def _replications(spec: SettingSpec, reps: int):
+    """``(rep_master, sample)`` of each replication; replication r draws its
+    sample from substream 0 of rep_master = derive_seed(spec.seed, r)."""
+    for r in range(reps):
+        rep_master = derive_seed(spec.seed, r)
+        yield rep_master, generate(replace(spec, seed=derive_seed(rep_master, 0)))
 
 
 def _check_run(reps: int, level: float) -> None:
@@ -301,42 +326,48 @@ def _check_run(reps: int, level: float) -> None:
 
 
 def estimate_power(spec: SettingSpec, cfg: ScoreConfig = ScoreConfig(),
-                   method="analytic", reps: int = 200, level: float = 0.05,
+                   method: str = "analytic", reps: int = 200, level: float = 0.05,
                    n_perm: int = 500, threads: int = 1) -> PowerEstimate:
     """Fraction of replications rejecting at ``level`` (p < level).
 
-    ``method`` is "analytic", "permutation", or a callable
-    ``(x, y, seed) -> p_value`` for plugging in an external test.
+    ``method`` is "analytic" or "permutation"; a permutation test of
+    replication r draws its permutations from substream 1 of its rep_master.
     """
     _check_run(reps, level)
+    if method not in ("analytic", "permutation"):
+        raise ValueError(f"unknown method {method!r}")
     start = time.perf_counter()
     rejections = 0
-    for r in range(reps):
-        rep_master = derive_seed(spec.seed, r)
-        data = generate(replace(spec, seed=derive_seed(rep_master, 0)))
-        p = _p_value_for(data.x, data.y, cfg, method, n_perm, rep_master, threads)
+    for rep_master, data in _replications(spec, reps):
+        q = quadruple_from_samples(data.x, data.y, cfg)
+        if method == "analytic":
+            p = git_test(q, cfg).p_analytic
+        else:
+            p = permutation_test(q, n_perm=n_perm, seed=derive_seed(rep_master, 1),
+                                 threads=threads)
         if p < level:
             rejections += 1
     runtime = time.perf_counter() - start
-    name = method if isinstance(method, str) else getattr(method, "__name__", "custom")
     return PowerEstimate(
         setting=spec, replications=reps, level=level, rejections=rejections,
-        power=rejections / reps, runtime_seconds=runtime, method=name,
+        power=rejections / reps, runtime_seconds=runtime, method=method,
     )
 
 
 def k_sweep(spec: SettingSpec, alphas, reps: int = 200, cfg: ScoreConfig = ScoreConfig(),
-            level: float = 0.05, method="analytic") -> list[dict]:
+            level: float = 0.05, method: str = "analytic") -> list[dict]:
     """Power of the test as the neighbor count varies as floor(n^alpha)."""
     if spec.id not in ("tune_i", "tune_ii", "tune_iii"):
         raise ValueError(f"k_sweep expects a tune_* setting, got {spec.id!r}")
     rows = []
-    for alpha in alphas:
+    for alpha in alphas:  # every alpha is checked before the first run
         if not 0 < alpha < 1:
             raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
         k = min(max(int(math.floor(spec.n ** alpha)), 1), spec.n - 1)
-        est = estimate_power(spec, replace(cfg, k=k), method=method, reps=reps, level=level)
-        rows.append({"alpha": alpha, "k": k, "power": est.power})
+        rows.append({"alpha": alpha, "k": k})
+    for row in rows:
+        row["power"] = estimate_power(spec, replace(cfg, k=row["k"]), method=method,
+                                      reps=reps, level=level).power
     return rows
 
 
@@ -345,9 +376,7 @@ def component_power(spec: SettingSpec, reps: int = 200, cfg: ScoreConfig = Score
     """Rejection rates of the four standardized components and the full test."""
     _check_run(reps, level)
     counts = {name: 0 for name in ("RG1", "RG2", "RG3", "RG4", "GIT")}
-    for r in range(reps):
-        rep_master = derive_seed(spec.seed, r)
-        data = generate(replace(spec, seed=derive_seed(rep_master, 0)))
+    for _, data in _replications(spec, reps):
         res = git_test(quadruple_from_samples(data.x, data.y, cfg), cfg)
         for comp in res.components:
             if comp.p < level:
@@ -398,30 +427,13 @@ def tidy_csv(rows) -> str:
     for r in rows:
         lines.append(
             f"{r['setting']},{r['n']},{r['p']},{r['reps']},{r['level']:g},"
-            f"{r['method']},{r['series']},{r.get('param', '')},{r['power']:.10g}"
+            f"{r['method']},{r['series']},{r['param']},{r['power']:.10g}"
         )
     return "\n".join(lines) + "\n"
 
 
-def tidy_from_estimate(e: PowerEstimate) -> list[dict]:
-    return [{
-        "setting": e.setting.id, "n": e.setting.n, "p": e.setting.p,
-        "reps": e.replications, "level": e.level, "method": e.method,
-        "series": "GIT", "param": "", "power": e.power,
-    }]
-
-
-def tidy_from_sweep(spec: SettingSpec, sweep_rows, reps: int, level: float,
-                    method: str = "analytic") -> list[dict]:
-    return [{
-        "setting": spec.id, "n": spec.n, "p": spec.p, "reps": reps, "level": level,
-        "method": method, "series": "GIT", "param": f"alpha={row['alpha']:g}",
-        "power": row["power"],
-    } for row in sweep_rows]
-
-
-def tidy_from_components(spec: SettingSpec, comp: dict, reps: int, level: float) -> list[dict]:
-    return [{
-        "setting": spec.id, "n": spec.n, "p": spec.p, "reps": reps, "level": level,
-        "method": "analytic", "series": name, "param": "", "power": power,
-    } for name, power in comp.items()]
+def tidy_row(spec: SettingSpec, reps: int, level: float, method: str, series: str,
+             power: float, param: str = "") -> dict:
+    """One long-format row: the power of ``series`` at ``param`` in one cell."""
+    return {"setting": spec.id, "n": spec.n, "p": spec.p, "reps": reps, "level": level,
+            "method": method, "series": series, "param": param, "power": power}

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from gitest import cli
+from gitest import simulate as sim
 from gitest.inference import run_test
 from gitest.scores import ScoreConfig
 
@@ -190,6 +191,45 @@ class TestCmdSimulate:
         for name in ("RG1", "RG2", "RG3", "RG4", "GIT"):
             assert name in out
 
+    def test_grid_runs_setting_then_n_then_p(self, capsys):
+        assert cli.main(["simulate", "--setting", "s5_2", "s5_1", "--n", "14", "12",
+                        "--p", "3", "2", "--reps", "1", "--seed", "1"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "setting,n,p,reps,level,method,power,runtime_seconds"
+        cells = [tuple(line.split(",")[:3]) for line in lines[1:]]
+        assert cells == [(s, n, p) for s in ("s5_2", "s5_1") for n in ("14", "12")
+                         for p in ("3", "2")]
+
+    def test_grid_dimensions_default_per_setting(self, monkeypatch, capsys):
+        def cell(spec, **kw):
+            return sim.PowerEstimate(spec, kw["reps"], kw["level"], 0, 0.0, 0.0)
+
+        monkeypatch.setattr(sim, "estimate_power", cell)
+        assert cli.main(["simulate", "--setting", "s5_1", "motivating", "tune_i",
+                        "--p", "4", "--reps", "1"]) == 0
+        cells = [line.split(",")[:3] for line in capsys.readouterr().out.splitlines()[1:]]
+        assert cells == [["s5_1", "100", "4"], ["motivating", "150", "4"], ["tune_i", "50", "4"]]
+        assert cli.main(["simulate", "--setting", "s5_1", "motivating", "--n", "20",
+                        "--reps", "1"]) == 0
+        cells = [line.split(",")[:3] for line in capsys.readouterr().out.splitlines()[1:]]
+        assert cells == [["s5_1", "20", "100"], ["motivating", "20", "50"]]
+
+    def test_grid_json_is_one_document(self, capsys):
+        assert cli.main(["simulate", "--setting", "s5_1", "s1_1", "--n", "12", "--p", "2",
+                        "--reps", "1", "--components", "--format", "json"]) == 0
+        rows = json.loads(capsys.readouterr().out)
+        assert [(r["setting"], r["series"]) for r in rows] == [
+            (s, name) for s in ("s5_1", "s1_1") for name in ("RG1", "RG2", "RG3", "RG4", "GIT")]
+
+    def test_bad_cell_fails_before_the_first_replication(self, monkeypatch, capsys):
+        draws = []
+        monkeypatch.setattr(sim, "generate", lambda spec: draws.append(spec))
+        assert cli.main(["simulate", "--setting", "s5_1", "--n", "12", "1", "--p", "2",
+                        "--reps", "1"]) == 64
+        out, err = capsys.readouterr()
+        assert out == "" and draws == []
+        assert err.startswith("gitest: error: need n >= 2")
+
 
 class TestCmdDiagnose:
     def test_normal_data_positive_gram_spectra(self, gaussian_pair, capsys):
@@ -262,6 +302,14 @@ class TestCmdGraph:
      "--components", "--level", "0"],
     ["simulate", "--setting", "s5_1", "--n", "10", "--p", "2", "--reps", "1",
      "--components", "--level", "1.5"],
+    ["simulate", "--setting", "s5_1", "--n", "12", "--p", "2", "--reps", "2",
+     "--plot-data", "--format", "json"],
+    ["simulate", "--setting", "s5_1", "--n", "10", "--p", "2", "--reps", "1",
+     "--components", "--timing"],
+    ["simulate", "--setting", "tune_i", "--n", "50", "--p", "5", "--reps", "1",
+     "--sweep-alphas", "0.5", "--timing"],
+    ["simulate", "--setting", "s5_1", "--n", "10", "--p", "2", "--reps", "1",
+     "--plot-data", "--timing"],
 ])
 def test_invalid_flag_value_is_usage_error(argv, tmp_path, rng, capsys):
     # samples of n=30 rows: --k 40 exceeds n - 1, and --k 20 exceeds the 15
@@ -274,7 +322,9 @@ def test_invalid_flag_value_is_usage_error(argv, tmp_path, rng, capsys):
     except SystemExit as exc:  # argparse itself rejects unknown flags and choices
         code = exc.code
     assert code == 64
-    err = capsys.readouterr().err.splitlines()
+    out, err = capsys.readouterr()
+    assert out == ""
+    err = err.splitlines()
     assert len(err) == 1 and err[0].startswith("gitest: error: ")
 
 

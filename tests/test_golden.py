@@ -34,6 +34,10 @@ GOLDEN = {
     "simulate": "b5b691c36d70de4b74a0ee16645eb5a70ef5058bb25ac53336a7d02f50a301ed",
     "simulate-components": "3f6c2649c8dd05b9db33707571bad65b8fe38c6c41b8bd756bd4074e93ec6d95",
     "simulate-sweep": "63225e2406229a975b99ffa339a9ad2bebd521e390ea6ea5321c45296d34af55",
+    "simulate-size-grid": "37edd6ce2fb9ef89a8895a385f6657b19be13238e3ab22089710bc51ff515f9f",
+    "simulate-power-grid": "98691e8108d7369d62ac76c7a71b1113eefd5bb4c3deeab27f7bc264c704aa86",
+    "simulate-sweep-p3": "630a37f6bfcf97782312c6ca9b75eed2a90eeb86f0350196d60d5b91dd65c55e",
+    "simulate-components-grid": "0ee1f09d9c871bb50964ed072f56ebf82caa4aeb4250cbe64177eab008371250",
     "test-json": "c515eb887a6f67d68faa7184129a74f788449051837b6d3f9fa7a8966e085af5",
     "test-table": "0f17ff51b80dff812816290f7956d545532b7727d15e05670837dc0a2af7fbc3",
     "test-csv": "c54affe983ec4bf25663f2a0439a3d36e241b33c70982e0726294d8fbda39438",
@@ -53,12 +57,26 @@ GOLDEN = {
 }
 
 
+#: the grids the experiment scripts ran before ``gitest simulate`` took their
+#: place; each digest is the stdout of the script run on the same grid
+GRIDS = {
+    "simulate-size-grid": ["--setting", "s5_1", "s5_2", "--n", "16", "20", "--p", "3"],
+    "simulate-power-grid": ["--setting", "motivating", "s1_1", "--n", "20", "--p", "3", "5"],
+    "simulate-sweep-p3": ["--setting", "tune_i", "--n", "50", "--p", "3",
+                          "--sweep-alphas", "0.3,0.6"],
+    "simulate-components-grid": ["--setting", "s1_1", "s5_1", "--n", "16", "--p", "3",
+                                 "--components"],
+}
+
+
 def _argv(case, px, py):
     simulate = ["simulate", "--setting", "s5_1", "--n", "30", "--p", "5", "--reps", "5",
                 "--seed", "7"]
     test = ["test", "--x", px, "--y", py, "--method", "both", "--n-perm", "99", "--seed", "3"]
     if case == "simulate":
         return simulate
+    if case in GRIDS:
+        return ["simulate", *GRIDS[case], "--reps", "3", "--seed", "7"]
     if case == "simulate-components":
         return simulate + ["--components"]
     if case == "simulate-sweep":

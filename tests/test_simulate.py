@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from gitest import simulate
 from gitest.rng import derive_seed, splitmix64_mix
 from gitest.simulate import (
     SETTING_IDS,
@@ -17,7 +18,7 @@ from gitest.simulate import (
     power_json,
     t10,
     tidy_csv,
-    tidy_from_estimate,
+    tidy_row,
 )
 
 
@@ -104,6 +105,16 @@ class TestGenerate:
         assert np.allclose(diff, diff[:, :1])  # constant across each row
         assert np.any(diff[:, 0] != 0)
 
+    def test_misspelled_override_rejected_before_any_test(self, monkeypatch):
+        spec = SettingSpec(id="s1_1", n=10, p=3, seed=1, overrides={"noise_sdd": 0.0})
+        with pytest.raises(ValueError, match="noise_sdd"):
+            generate(spec)
+        tests = []
+        monkeypatch.setattr(simulate, "git_test", lambda *a, **kw: tests.append(a))
+        with pytest.raises(ValueError, match="noise_sdd"):
+            estimate_power(spec, reps=2)
+        assert tests == []
+
 
 class TestVariatePrimitives:
     def test_normal_moments(self):
@@ -139,19 +150,13 @@ class TestEstimatePower:
         est = estimate_power(spec, reps=5, level=1.0)
         assert est.power == 1.0
 
-    def test_plug_in_method_hook(self):
-        spec = SettingSpec(id="s5_1", n=12, p=3, seed=1)
-        calls = []
-
-        def always_significant(x, y, seed):
-            calls.append((x.shape, seed))
-            return 0.001
-
-        est = estimate_power(spec, method=always_significant, reps=4)
-        assert est.power == 1.0
-        assert est.method == "always_significant"
-        assert len(calls) == 4
-        assert len({seed for _, seed in calls}) == 4
+    @pytest.mark.parametrize("method", ["bogus", lambda x, y, seed: 0.001])
+    def test_unknown_method_rejected_before_sampling(self, method, monkeypatch):
+        draws = []
+        monkeypatch.setattr(simulate, "generate", lambda spec: draws.append(spec))
+        with pytest.raises(ValueError, match="unknown method"):
+            estimate_power(SettingSpec(id="s5_1", n=12, p=3, seed=1), method=method, reps=2)
+        assert draws == []
 
     def test_permutation_method(self):
         spec = SettingSpec(id="s5_1", n=16, p=3, seed=2)
@@ -184,6 +189,15 @@ class TestKSweep:
         spec = SettingSpec(id="tune_i", n=50, p=4)
         with pytest.raises(ValueError):
             k_sweep(spec, alphas=[1.5], reps=1)
+
+    def test_checks_every_alpha_before_running(self, monkeypatch):
+        runs = []
+        real = simulate.estimate_power
+        monkeypatch.setattr(simulate, "estimate_power",
+                            lambda *a, **kw: runs.append(a) or real(*a, **kw))
+        with pytest.raises(ValueError, match="1.5"):
+            k_sweep(SettingSpec(id="tune_i", n=50, p=3, seed=1), [0.5, 1.5], reps=2)
+        assert runs == []
 
     @pytest.mark.slow
     def test_mid_range_alpha_dominates_tiny_k(self):
@@ -269,6 +283,7 @@ class TestEmission:
     def test_tidy_csv(self):
         spec = SettingSpec(id="s5_1", n=16, p=3, seed=6)
         est = estimate_power(spec, reps=3)
-        text = tidy_csv(tidy_from_estimate(est))
+        text = tidy_csv([tidy_row(est.setting, est.replications, est.level, est.method, "GIT",
+                                  est.power)])
         assert text.startswith("setting,n,p,reps,level,method,series,param,power\n")
         assert ",GIT,," in text
