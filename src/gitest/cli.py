@@ -192,12 +192,14 @@ def cmd_simulate(args) -> int:
     if args.timing and (args.sweep_alphas or args.components or args.plot_data):
         raise UsageError("--timing applies to the power report only; the long format "
                          "has no runtime column")
+    untuned = [s for s in args.setting if not s.startswith("tune_")]
+    if args.sweep_alphas and untuned:
+        raise UsageError(f"--sweep-alphas needs tune_* settings, got {', '.join(untuned)}")
     # every cell is built before the first replication, so a bad one fails first
     specs = [sim.SettingSpec(setting, n, p, seed=args.seed)
              for setting in args.setting
              for n in args.n or [sim.default_dimensions(setting)[0]]
              for p in args.p or [sim.default_dimensions(setting)[1]]]
-    threads = _threads(args)  # checked on every report, used by the power estimate
     reps, level = args.reps, args.level
     if args.sweep_alphas:
         alphas = [float(a) for a in args.sweep_alphas.split(",")]
@@ -211,8 +213,8 @@ def cmd_simulate(args) -> int:
                 for spec in specs
                 for name, power in sim.component_power(spec, reps=reps, level=level).items()]
     else:
-        estimates = [sim.estimate_power(spec, method=args.method, reps=reps, level=level,
-                                        threads=threads) for spec in specs]
+        estimates = [sim.estimate_power(spec, method=args.method, reps=reps, level=level)
+                     for spec in specs]
         if not args.plot_data:
             if args.format == "json":
                 print(json.dumps(sim.power_json(estimates, timing=args.timing), indent=2))
@@ -274,7 +276,6 @@ def build_parser() -> _Parser:
     p_sim.add_argument("--method", choices=("analytic", "permutation"), default="analytic")
     p_sim.add_argument("--seed", type=int, default=0)
     p_sim.add_argument("--format", choices=("json", "csv"), default="csv")
-    p_sim.add_argument("--threads", type=int, default=None)
     p_sim.add_argument("--sweep-alphas", default="",
                        help="comma-separated exponents; power at k=floor(n^alpha)")
     p_sim.add_argument("--components", action="store_true",

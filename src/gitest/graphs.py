@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from itertools import chain, repeat
 
 import numpy as np
 from scipy.spatial.distance import cdist
@@ -316,11 +317,12 @@ def robust_graph(D, k: int, lam: float, direction: str = NEAREST,
     candidate's in-degree from the other nodes.  The k cheapest candidates
     win, ties going to the smaller rank, then to the smaller index, so tie
     resolution stays label-invariant.  A node changes its set only on strict
-    improvement, so the objective decreases monotonically; sweeps stop at
-    convergence or ``max_sweeps``.  A descent that stops at ``max_sweeps``
-    while its last sweep still moved a node logs a warning on the ``gitest``
-    logger.  With lam = 0 the initial graph is already optimal and is
-    returned unchanged.
+    improvement, so the objective decreases monotonically.  The descent
+    stops once every node but the last to move has been visited since that
+    move without moving (the mover would pick its new set again), or after
+    ``max_sweeps`` sweeps; a descent that the cap cuts short logs a warning
+    on the ``gitest`` logger.  With lam = 0 no node moves, so the initial
+    graph comes back unchanged.
 
     A node prices only a prefix of its candidates in (rank, index) order.
     Every candidate past the prefix costs at least rank + lam, the cost of an
@@ -351,8 +353,6 @@ def robust_graph(D, k: int, lam: float, direction: str = NEAREST,
     init = knn_graph(D, k, direction)  # validates D
     D = np.asarray(D, dtype=np.float64)
     n = D.shape[0]
-    if lam == 0.0:
-        return init
     # label-invariant visit order: sort by the smallest distances to peers.
     # one column ties exactly for mutually-nearest pairs, so compare the
     # first three lexicographically; lexsort is stable, so index only breaks
@@ -381,29 +381,28 @@ def robust_graph(D, k: int, lam: float, direction: str = NEAREST,
         return m, order[i, :m], ranks[i, :m], member[i, :m], float(ranks[i, m]) + lam
 
     prefixes = [prefix(i, min(2 * k, n - 1)) for i in range(n)]
-    for _sweep in range(max_sweeps):
-        changed = False
-        for i in visit:
-            m, pool, r, mem, bound = prefixes[i]
-            while True:
-                cost = r + pen[indeg[pool] - mem]
-                # stable: equal costs keep the pool's (rank, index) order
-                sel = cost.argsort(kind="stable")[:k]
-                if bound > cost[sel[-1]] or m == n - 1:
-                    break
-                m = min(2 * m, n - 1)
-                if m >= width:  # the bound needs rank m: widen to full rows
-                    order, ranks = _rank_rows(D, direction, n)
-                    member = np.hstack([member, np.zeros((n, n - width), dtype=np.intp)])
-                    width = n
-                    prefixes = [prefix(j, p[0]) for j, p in enumerate(prefixes)]
-                m, pool, r, mem, bound = prefixes[i] = prefix(i, m)
-            if 0 not in mem[sel].tolist():
-                # the same set again: both totals would sum the same k
-                # positive costs, in two orders, so they differ by at most
-                # 2(k - 1) roundings of the total, far inside the 1e-9
-                # tolerance, and the node would keep its set
-                continue
+    # nodes in a row known to keep their set; once it reaches n, no visit
+    # can move a node again
+    settled = 0
+    for i in chain.from_iterable(repeat(visit, max_sweeps)):
+        m, pool, r, mem, bound = prefixes[i]
+        while True:
+            cost = r + pen[indeg[pool] - mem]
+            # stable: equal costs keep the pool's (rank, index) order
+            sel = cost.argsort(kind="stable")[:k]
+            if bound > cost[sel[-1]] or m == n - 1:
+                break
+            m = min(2 * m, n - 1)
+            if m >= width:  # the bound needs rank m: widen to full rows
+                order, ranks = _rank_rows(D, direction, n)
+                member = np.hstack([member, np.zeros((n, n - width), dtype=np.intp)])
+                width = n
+                prefixes = [prefix(j, p[0]) for j, p in enumerate(prefixes)]
+            m, pool, r, mem, bound = prefixes[i] = prefix(i, m)
+        # a node choosing the same set again keeps it: both totals would sum
+        # the same k positive costs, in two orders, so they differ by at most
+        # 2(k - 1) roundings of the total, far inside the 1e-9 tolerance
+        if 0 in mem[sel].tolist():
             cur = pos[i]
             new_total = float(np.add.reduce(cost[sel]))
             old_total = float(np.add.reduce(cost[cur]))
@@ -413,8 +412,11 @@ def robust_graph(D, k: int, lam: float, direction: str = NEAREST,
                 mem[cur] = 0
                 mem[sel] = 1
                 pos[i] = sel
-                changed = True
-        if not changed:
+                # a move keeps every in-degree the mover prices, so on its
+                # next visit it would pick the same set again and keep it
+                settled = 0
+        settled += 1
+        if settled == n:
             break
     else:
         _log.warning(

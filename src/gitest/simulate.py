@@ -64,7 +64,7 @@ def _by_p(p: int, breaks: list[tuple[int, float]], top: float) -> float:
 
 
 def _gen_motivating(rng, n, p, ov):
-    b = ov.get("b", 0.0)
+    b = ov.pop("b", 0.0)
     x = rng.standard_normal((n, p))
     eps = rng.standard_normal((n, p))
     return x, np.log(np.abs(x)) + b * eps
@@ -82,16 +82,8 @@ def _gen_tune(setting_id):
     draw = _BASE_DRAWS[family]
 
     def gen(rng, n, p, ov):
-        a = ov.get("a", a_default)
-        if "b" in ov:
-            b = ov["b"]
-        elif n in b_table:
-            b = b_table[n]
-        else:
-            raise ValueError(
-                f"{setting_id} has no tabulated noise level for n={n}; "
-                f"known n: {sorted(b_table)} (pass overrides={{'b': ...}})"
-            )
+        a = ov.pop("a", a_default)
+        b = ov.pop("b", b_table.get(n))  # SettingSpec rejects an off-table n without b
         x = draw(rng, (n, p))
         eps = draw(rng, (n, p))
         return x, 1.0 / np.abs(x + a) + b * eps
@@ -110,15 +102,15 @@ def _gen_s1(variant):
         bx = _bernoulli_signs(rng, n)[:, None]
         by = _bernoulli_signs(rng, n)[:, None]
         if variant == 1:
-            sd = ov.get("noise_sd", 1.5)
+            sd = ov.pop("noise_sd", 1.5)
             ex = sd * rng.standard_normal((n, p))
             ey = sd * rng.standard_normal((n, p))
         elif variant == 2:
-            scale = ov.get("noise_scale", 1.5)
+            scale = ov.pop("noise_scale", 1.5)
             ex = scale * t10(rng, (n, p))
             ey = scale * t10(rng, (n, p))
         else:
-            mean = ov.get("noise_log_mean", -0.5)
+            mean = ov.pop("noise_log_mean", -0.5)
             ex = lognormal(rng, mean, 1.0, (n, p))
             ey = lognormal(rng, mean, 1.0, (n, p))
         core = np.log(np.abs(u))
@@ -135,7 +127,7 @@ def _gen_s2(variant):
             sig_y = sigma * rng.standard_normal(n)
             ux = (2.0 - sig_x)[:, None] * rng.standard_normal((n, p))
             uy = sig_y[:, None] * rng.standard_normal((n, p))
-            sd = ov.get("noise_sd", _by_p(p, [(100, 0.6)], 1.0))
+            sd = ov.pop("noise_sd", _by_p(p, [(100, 0.6)], 1.0))
             ex = sd * rng.standard_normal((n, p))
             ey = sd * rng.standard_normal((n, p))
         elif variant == 2:
@@ -144,7 +136,7 @@ def _gen_s2(variant):
             sig_y = sigma * t10(rng, n)
             ux = (2.0 - sig_x)[:, None] * t10(rng, (n, p))
             uy = sig_y[:, None] * t10(rng, (n, p))
-            scale = ov.get("noise_scale", _by_p(p, [(100, 0.4)], 1.0))
+            scale = ov.pop("noise_scale", _by_p(p, [(100, 0.4)], 1.0))
             ex = scale * t10(rng, (n, p))
             ey = scale * t10(rng, (n, p))
         else:
@@ -153,7 +145,7 @@ def _gen_s2(variant):
             sig_y = np.exp(sigma * rng.standard_normal(n))
             ux = np.exp((5.0 - sig_x)[:, None] * rng.standard_normal((n, p)))
             uy = np.exp(sig_y[:, None] * rng.standard_normal((n, p)))
-            scale = ov.get("noise_scale", _by_p(p, [(1000, 0.2)], 0.1))
+            scale = ov.pop("noise_scale", _by_p(p, [(1000, 0.2)], 0.1))
             ex = scale * lognormal(rng, 0.0, 1.0, (n, p))
             ey = scale * lognormal(rng, 0.0, 1.0, (n, p))
         return ux + ex, uy + ey
@@ -166,15 +158,15 @@ def _gen_s3(variant):
         m = (n + 1) // 2  # first half (rounded up) follows the first regime
         if variant == 1:
             x = rng.standard_normal((n, p))
-            eps = ov.get("noise_sd", 1.2) * rng.standard_normal((n, p))
+            eps = ov.pop("noise_sd", 1.2) * rng.standard_normal((n, p))
             first, second = np.log(np.abs(x[:m])), np.exp(0.6 * x[m:])
         elif variant == 2:
             x = t10(rng, (n, p))
-            eps = ov.get("noise_scale", 1.0) * t10(rng, (n, p))
+            eps = ov.pop("noise_scale", 1.0) * t10(rng, (n, p))
             first, second = np.log(np.abs(x[:m])), np.exp(0.5 * x[m:])
         else:
             x = lognormal(rng, -4.0, 1.0, (n, p))
-            sd = ov.get("noise_log_sd", _by_p(p, [(100, 2.9), (400, 2.3)], 2.0))
+            sd = ov.pop("noise_log_sd", _by_p(p, [(100, 2.9), (400, 2.3)], 2.0))
             eps = lognormal(rng, -4.0, sd, (n, p))
             first, second = np.log(x[:m]), np.exp(0.7 * x[m:])
         y = np.concatenate([first, second]) + eps
@@ -187,17 +179,17 @@ def _gen_s4(variant):
     def gen(rng, n, p, ov):
         if variant == 1:
             draw = _BASE_DRAWS["normal"]
-            noise = ov.get("noise_sd", 8.0)
+            noise = ov.pop("noise_sd", 8.0)
             noise_x = noise * rng.standard_normal(n)
             noise_y = noise * rng.standard_normal(n)
         elif variant == 2:
             draw = _BASE_DRAWS["t10"]
-            noise = ov.get("noise_scale", 10.0)
+            noise = ov.pop("noise_scale", 10.0)
             noise_x = noise * t10(rng, n)
             noise_y = noise * t10(rng, n)
         else:
             draw = _BASE_DRAWS["lognormal"]
-            sd = ov.get("noise_log_sd", 25.0)
+            sd = ov.pop("noise_log_sd", 25.0)
             noise_x = lognormal(rng, 0.0, sd, n)
             noise_y = lognormal(rng, 0.0, sd, n)
         L = draw(rng, (n, p))
@@ -259,6 +251,13 @@ class SettingSpec:
             raise ValueError(f"unknown setting {self.id!r}; valid ids: {', '.join(SETTING_IDS)}")
         if self.n < 2 or self.p < 1:
             raise ValueError(f"need n >= 2 and p >= 1, got n={self.n}, p={self.p}")
+        if self.id in _TUNE_PARAMS and "b" not in self.overrides:
+            b_table = _TUNE_PARAMS[self.id][2]
+            if self.n not in b_table:
+                raise ValueError(
+                    f"{self.id} has no tabulated noise level for n={self.n}; "
+                    f"known n: {sorted(b_table)} (pass overrides={{'b': ...}})"
+                )
 
 
 @dataclass(frozen=True)
@@ -274,26 +273,6 @@ class PowerEstimate:
     method: str = "analytic"
 
 
-class _Overrides(dict):
-    """A recipe's overrides, noting each key the recipe looks up."""
-
-    def __init__(self, items):
-        super().__init__(items)
-        self.read = set()
-
-    def get(self, key, default=None):
-        self.read.add(key)
-        return super().get(key, default)
-
-    def __contains__(self, key):
-        self.read.add(key)
-        return super().__contains__(key)
-
-    def __getitem__(self, key):
-        self.read.add(key)
-        return super().__getitem__(key)
-
-
 def generate(spec: SettingSpec) -> PairedSample:
     """Draw one paired sample per the setting's recipe, fixed by spec.seed.
 
@@ -301,12 +280,11 @@ def generate(spec: SettingSpec) -> PairedSample:
     so a misspelled override cannot pass unnoticed.
     """
     rng = np.random.Generator(np.random.PCG64(spec.seed))
-    ov = _Overrides(spec.overrides)
+    ov = dict(spec.overrides)  # the recipe pops each key it reads
     x, y = _GENERATORS[spec.id](rng, spec.n, spec.p, ov)
-    unread = sorted(set(ov) - ov.read)
-    if unread:
+    if ov:
         raise ValueError(f"setting {spec.id!r} reads no override named "
-                         f"{', '.join(map(repr, unread))}")
+                         f"{', '.join(map(repr, sorted(ov)))}")
     return PairedSample(np.asarray(x, dtype=np.float64), np.asarray(y, dtype=np.float64))
 
 
@@ -327,7 +305,7 @@ def _check_run(reps: int, level: float) -> None:
 
 def estimate_power(spec: SettingSpec, cfg: ScoreConfig = ScoreConfig(),
                    method: str = "analytic", reps: int = 200, level: float = 0.05,
-                   n_perm: int = 500, threads: int = 1) -> PowerEstimate:
+                   n_perm: int = 500) -> PowerEstimate:
     """Fraction of replications rejecting at ``level`` (p < level).
 
     ``method`` is "analytic" or "permutation"; a permutation test of
@@ -343,8 +321,7 @@ def estimate_power(spec: SettingSpec, cfg: ScoreConfig = ScoreConfig(),
         if method == "analytic":
             p = git_test(q, cfg).p_analytic
         else:
-            p = permutation_test(q, n_perm=n_perm, seed=derive_seed(rep_master, 1),
-                                 threads=threads)
+            p = permutation_test(q, n_perm=n_perm, seed=derive_seed(rep_master, 1))
         if p < level:
             rejections += 1
     runtime = time.perf_counter() - start
@@ -357,7 +334,7 @@ def estimate_power(spec: SettingSpec, cfg: ScoreConfig = ScoreConfig(),
 def k_sweep(spec: SettingSpec, alphas, reps: int = 200, cfg: ScoreConfig = ScoreConfig(),
             level: float = 0.05, method: str = "analytic") -> list[dict]:
     """Power of the test as the neighbor count varies as floor(n^alpha)."""
-    if spec.id not in ("tune_i", "tune_ii", "tune_iii"):
+    if spec.id not in _TUNE_PARAMS:
         raise ValueError(f"k_sweep expects a tune_* setting, got {spec.id!r}")
     rows = []
     for alpha in alphas:  # every alpha is checked before the first run

@@ -10,7 +10,7 @@ import sys
 import numpy as np
 import pytest
 
-from gitest import graphs, inference, moments, scores
+from gitest import graphs, inference, moments, scores, simulate
 
 PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -91,3 +91,11 @@ def test_calls_the_benchmark_makes_by_keyword():
     q = inference.quadruple_from_samples(x, y)
     assert 0 < inference.permutation_test(q, n_perm=9, seed=1, threads=1) <= 1
     assert all(isinstance(m.values, np.ndarray) for m in (q.sx, q.dx, q.sy, q.dy))
+
+
+def test_estimate_power_takes_the_call_the_benchmark_makes():
+    # perfbench's monte_carlo workload passes the setting and the config by
+    # position, reps and level by keyword
+    spec = simulate.SettingSpec("s5_1", 12, 3, seed=1)
+    est = simulate.estimate_power(spec, scores.ScoreConfig(), reps=2, level=0.05)
+    assert (est.replications, est.level) == (2, 0.05)

@@ -142,12 +142,14 @@ class TestCmdSimulate:
         ["--setting", "tune_i", "--n", "50", "--sweep-alphas", "0.5"],
         ["--setting", "s5_1", "--n", "10", "--p", "2"],
     ], ids=["components", "sweep", "power"])
-    def test_malformed_threads_env_is_data_error(self, report, capsys, monkeypatch):
+    def test_threads_env_is_ignored(self, report, capsys, monkeypatch):
+        # simulate runs on one thread and never reads GITEST_THREADS
+        argv = ["simulate", "--reps", "1"] + report
+        assert cli.main(argv) == 0
+        plain = capsys.readouterr()
         monkeypatch.setenv("GITEST_THREADS", "abc")
-        assert cli.main(["simulate", "--reps", "1"] + report) == 2
-        out, err = capsys.readouterr()
-        assert out == ""
-        assert err.splitlines() == ["gitest: error: GITEST_THREADS is not an integer: 'abc'"]
+        assert cli.main(argv) == 0
+        assert capsys.readouterr() == plain
 
     def test_zero_reps_usage_error(self, capsys):
         assert cli.main(["simulate", "--setting", "s5_1", "--reps", "0"]) == 64
@@ -230,6 +232,23 @@ class TestCmdSimulate:
         assert out == "" and draws == []
         assert err.startswith("gitest: error: need n >= 2")
 
+    @pytest.mark.parametrize("grid", [
+        ["--setting", "tune_i", "s5_1", "--n", "50", "--p", "3", "--sweep-alphas", "0.5"],
+        ["--setting", "tune_i", "--n", "50", "73", "--p", "3"],
+    ], ids=["sweep-on-s5_1", "tune-at-untabulated-n"])
+    def test_setting_rules_fail_before_the_first_replication(self, grid, monkeypatch,
+                                                             capsys):
+        calls = []
+        for name in ("generate", "estimate_power"):
+            def counted(*args, _fn=getattr(sim, name), **kwargs):
+                calls.append(_fn.__name__)
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(sim, name, counted)
+        assert cli.main(["simulate", "--reps", "1"] + grid) == 64
+        out, err = capsys.readouterr()
+        assert out == "" and calls == []
+        assert len(err.splitlines()) == 1 and err.startswith("gitest: error: ")
+
 
 class TestCmdDiagnose:
     def test_normal_data_positive_gram_spectra(self, gaussian_pair, capsys):
@@ -310,6 +329,8 @@ class TestCmdGraph:
      "--sweep-alphas", "0.5", "--timing"],
     ["simulate", "--setting", "s5_1", "--n", "10", "--p", "2", "--reps", "1",
      "--plot-data", "--timing"],
+    ["simulate", "--setting", "s5_1", "--n", "10", "--p", "2", "--reps", "1",
+     "--threads", "2"],
 ])
 def test_invalid_flag_value_is_usage_error(argv, tmp_path, rng, capsys):
     # samples of n=30 rows: --k 40 exceeds n - 1, and --k 20 exceeds the 15

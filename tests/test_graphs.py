@@ -547,6 +547,18 @@ class TestDescentWarning:
         # converged: two sweeps already give the same graph
         assert np.array_equal(G.out_neighbors, robust_graph(self.D, 7, 0.3, NEAREST, 2).out_neighbors)
 
+    def test_silent_when_the_cap_cuts_nothing_short(self, caplog):
+        # the first visit of the second sweep moves a node and no later visit
+        # does, so every other node has kept its set since that move
+        D = pairwise_distances(np.random.default_rng(0).standard_normal((12, 4)))
+        with caplog.at_level(logging.WARNING, logger="gitest"):
+            G = robust_graph(D, 1, 0.3, FARTHEST, max_sweeps=2)
+        assert caplog.records == []
+        moved = robust_graph(D, 1, 0.3, FARTHEST, max_sweeps=1).out_neighbors
+        assert not np.array_equal(G.out_neighbors, moved)
+        assert np.array_equal(G.out_neighbors,
+                              robust_graph(D, 1, 0.3, FARTHEST, max_sweeps=3).out_neighbors)
+
     def test_prints_nothing_unless_logging_is_configured(self):
         code = (
             "import numpy as np; from gitest import pairwise_distances, robust_graph; "

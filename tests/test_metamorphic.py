@@ -53,3 +53,13 @@ def test_affine_map_of_x(sample, cfg):
     base, mapped = run_test(x, y, cfg), run_test(3.7 * x + 1.0, y, cfg)
     assert mapped.df == base.df
     assert mapped.statistic == pytest.approx(base.statistic, rel=REL, abs=0)
+
+
+@pytest.mark.parametrize("cfg", CONFIGS, ids=lambda c: f"{c.scheme}-{c.graph_family}")
+def test_relabelling_the_pairs(sample, cfg):
+    # the sample is tie-free, so every graph relabels with the rows
+    x, y = sample
+    perm = np.random.default_rng(1).permutation(len(x))
+    base, relabelled = run_test(x, y, cfg), run_test(x[perm], y[perm], cfg)
+    assert relabelled.df == base.df
+    assert relabelled.statistic == pytest.approx(base.statistic, rel=REL, abs=0)

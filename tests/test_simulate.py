@@ -57,9 +57,37 @@ class TestSettingSpec:
             assert np.all(np.isfinite(sample.y))
 
     def test_tune_refuses_off_table_n(self):
+        # refused when the spec is built, so a grid fails before any cell runs
         with pytest.raises(ValueError, match="n=73"):
-            generate(SettingSpec(id="tune_i", n=73, p=4))
+            SettingSpec(id="tune_i", n=73, p=4)
         generate(SettingSpec(id="tune_i", n=73, p=4, overrides={"b": 1.0}))
+
+
+# every override key each recipe reads
+OVERRIDE_KEYS = {
+    "motivating": ["b"],
+    "tune_i": ["a", "b"], "tune_ii": ["a", "b"], "tune_iii": ["a", "b"],
+    "s1_1": ["noise_sd"], "s1_2": ["noise_scale"], "s1_3": ["noise_log_mean"],
+    "s2_1": ["noise_sd"], "s2_2": ["noise_scale"], "s2_3": ["noise_scale"],
+    "s3_1": ["noise_sd"], "s3_2": ["noise_scale"], "s3_3": ["noise_log_sd"],
+    "s4_1": ["noise_sd"], "s4_2": ["noise_scale"], "s4_3": ["noise_log_sd"],
+    "s5_1": [], "s5_2": [], "s5_3": [],
+}
+
+
+@pytest.mark.parametrize("sid", SETTING_IDS)
+def test_overrides_are_read_or_refused(sid):
+    n = 50 if sid.startswith("tune") else 12
+    base = generate(SettingSpec(id=sid, n=n, p=3, seed=1))
+    for key in OVERRIDE_KEYS[sid]:  # each key is accepted and changes the sample
+        other = generate(SettingSpec(id=sid, n=n, p=3, seed=1, overrides={key: 0.7}))
+        assert not np.array_equal(other.y, base.y), key
+    # with every key the recipe reads, the error names the misspelled one alone
+    every = dict.fromkeys(OVERRIDE_KEYS[sid], 0.7)
+    with pytest.raises(ValueError, match="named 'noise_sdd'$"):
+        generate(SettingSpec(id=sid, n=n, p=3, seed=1, overrides=dict(every, noise_sdd=0.7)))
+    if sid.startswith("tune"):  # b stands in for the noise level of an untabulated n
+        generate(SettingSpec(id=sid, n=73, p=3, seed=1, overrides={"b": 0.7}))
 
 
 class TestGenerate:
@@ -170,6 +198,10 @@ class TestEstimatePower:
             estimate_power(spec, reps=0)
         with pytest.raises(ValueError):
             estimate_power(spec, reps=5, level=0.0)
+
+    def test_runs_on_one_thread(self):
+        with pytest.raises(TypeError, match="threads"):
+            estimate_power(SettingSpec(id="s5_1", n=10, p=2), reps=1, threads=2)
 
 
 class TestKSweep:
