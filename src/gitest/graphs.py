@@ -111,10 +111,21 @@ def check_distance_matrix(D) -> np.ndarray:
     D = np.asarray(D, dtype=np.float64)
     if D.ndim != 2 or D.shape[0] != D.shape[1]:
         raise StructuralError("distance matrix must be square")
-    if not np.all(np.isfinite(D)) or np.any(D < 0):
-        raise StructuralError("distances must be finite and nonnegative")
-    if np.any(np.diagonal(D) != 0) or not np.array_equal(D, D.T):
+    n = D.shape[0]
+    # two passes over 128-row blocks, so the check holds no n x n temporary.
+    # Every block is checked for finite nonnegative entries before any for
+    # symmetry, so each input meets the first test it fails on the whole
+    # matrix.  A block's min is nan if the block holds a nan
+    for s in range(0, n, _BLOCK):
+        block = D[s:s + _BLOCK]
+        if not (block.min() >= 0.0 and block.max() < np.inf):
+            raise StructuralError("distances must be finite and nonnegative")
+    if np.any(np.diagonal(D) != 0):
         raise StructuralError("distance matrix must be symmetric with a zero diagonal")
+    # each block's rows against its columns, from its own diagonal on
+    for s in range(0, n, _BLOCK):
+        if not np.array_equal(D[s:s + _BLOCK, s:], D[s:, s:s + _BLOCK].T):
+            raise StructuralError("distance matrix must be symmetric with a zero diagonal")
     return D
 
 
@@ -343,6 +354,14 @@ def robust_graph(D, k: int, lam: float, direction: str = NEAREST,
     candidates' in-degrees excluding itself without touching the shared
     in-degrees unless the set changes.
 
+    A node whose selection differs from its set moves when the selection's
+    total cost is below its set's by more than a relative 1e-9.  When the
+    gap between the k-th and (k + 1)-th cheapest costs is wide enough that
+    this test must pass whatever the rounding of the totals, the move skips
+    both totals; ties and near-ties at that edge go through the tolerance
+    test.  A move updates the in-degrees of its pool once, from the change
+    in membership.
+
     Nodes are visited in ascending order of their nearest-neighbor distance
     (ties by index), a label-invariant order: relabeling the observations
     relabels the result without changing which local optimum is found.
@@ -375,12 +394,31 @@ def robust_graph(D, k: int, lam: float, direction: str = NEAREST,
     del init
     pen = lam * (2.0 * np.arange(n) + 1.0)  # marginal penalty, by indeg_excl
 
+    # every cost lies in [1, C]: a rank is at least 1 and below n, and a
+    # penalty at most pen[n - 1] (+ and * round monotonically).  A move is
+    # certain without its two totals once the gap between the k-th and
+    # (k + 1)-th cheapest costs exceeds margin.  Proof: the set and the
+    # selection differ in d >= 1 candidates each, the set's costing at least
+    # the (k + 1)-th cheapest and the selection's at most the k-th, so the
+    # exact sums of the two totals' costs differ by at least the gap.  While
+    # k * eps <= 1e-10, each computed total errs by at most
+    # gamma_k * k * C <= 1e-10 * kC and the computed gap by a relative eps,
+    # so the tolerance test passes: 2e-10 * kC + 1e-9 * (1 + kC + 1e-10 * kC),
+    # plus a few roundings in the test itself, stays below 2e-9 * (1 + kC).
+    # For larger k, or once k * C overflows, margin is inf and every move
+    # takes the test
+    C = n + float(pen[-1])
+    margin = 2e-9 * (1.0 + k * C) if k * np.finfo(float).eps <= 1e-10 else np.inf
+
     def prefix(i, m):
         """Node i's first m candidates, their ranks and membership, and the
         bound on every later candidate's cost."""
         return m, order[i, :m], ranks[i, :m], member[i, :m], float(ranks[i, m]) + lam
 
-    prefixes = [prefix(i, min(2 * k, n - 1)) for i in range(n)]
+    # every node's first prefix, as prefix(i, m0) builds it, in one pass
+    m0 = min(2 * k, n - 1)
+    prefixes = list(zip(repeat(m0, n), order[:, :m0], ranks[:, :m0], member[:, :m0],
+                        (ranks[:, m0] + lam).tolist()))
     # nodes in a row known to keep their set; once it reaches n, no visit
     # can move a node again
     settled = 0
@@ -389,8 +427,10 @@ def robust_graph(D, k: int, lam: float, direction: str = NEAREST,
         while True:
             cost = r + pen[indeg[pool] - mem]
             # stable: equal costs keep the pool's (rank, index) order
-            sel = cost.argsort(kind="stable")[:k]
-            if bound > cost[sel[-1]] or m == n - 1:
+            srt = cost.argsort(kind="stable")
+            sel = srt[:k]
+            edge = float(cost[srt[k - 1]])  # the k-th cheapest cost
+            if bound > edge or m == n - 1:
                 break
             m = min(2 * m, n - 1)
             if m >= width:  # the bound needs rank m: widen to full rows
@@ -404,13 +444,17 @@ def robust_graph(D, k: int, lam: float, direction: str = NEAREST,
         # 2(k - 1) roundings of the total, far inside the 1e-9 tolerance
         if 0 in mem[sel].tolist():
             cur = pos[i]
-            new_total = float(np.add.reduce(cost[sel]))
-            old_total = float(np.add.reduce(cost[cur]))
-            if new_total < old_total - 1e-9 * (1.0 + abs(old_total)):
-                indeg[pool[cur]] -= 1
-                indeg[pool[sel]] += 1
+            moves = m > k and float(cost[srt[k]]) - edge > margin
+            if not moves:  # a tie or near-tie at the edge: the tolerance test decides
+                old_total = float(np.add.reduce(cost[cur]))
+                moves = float(np.add.reduce(cost[sel])) < old_total - 1e-9 * (1.0 + abs(old_total))
+            if moves:
+                # a pool's candidates are distinct, so one fancy update moves
+                # every in-degree the membership change touches
+                old = mem.copy()
                 mem[cur] = 0
                 mem[sel] = 1
+                indeg[pool] += mem - old
                 pos[i] = sel
                 # a move keeps every in-degree the mover prices, so on its
                 # next visit it would pick the same set again and keep it

@@ -300,6 +300,49 @@ def test_builders_reject_a_broken_distance_matrix(build, defect):
         build(_broken_distances(defect))
 
 
+def reference_check_distance_matrix(D):
+    """The check as first written: whole-matrix tests, n x n temporaries."""
+    D = np.asarray(D, dtype=np.float64)
+    if D.ndim != 2 or D.shape[0] != D.shape[1]:
+        raise StructuralError("distance matrix must be square")
+    if not np.all(np.isfinite(D)) or np.any(D < 0):
+        raise StructuralError("distances must be finite and nonnegative")
+    if np.any(np.diagonal(D) != 0) or not np.array_equal(D, D.T):
+        raise StructuralError("distance matrix must be symmetric with a zero diagonal")
+    return D
+
+
+def _check_message(check, D):
+    try:
+        check(D)
+    except StructuralError as exc:
+        return str(exc)
+    return None
+
+
+@pytest.mark.parametrize("defects", [
+    (), ("asym", 0, 1), ("asym", 250, 3), ("asym", 130, 129), ("asym", 290, 280),
+    ("diag", 299, 299), ("neg", 260, 270), ("nan", 5, 299), ("inf", 299, 0), ("-inf", 140, 2),
+    # an asymmetry or a nonzero diagonal in an early block, and an entry of
+    # a later block the first test rejects: the first test's message wins
+    ("asym", 0, 1, "neg", 290, 291), ("diag", 1, 1, "nan", 280, 7),
+    ("asym", 3, 200, "inf", 299, 299),
+])
+def test_check_distance_matrix_blocks_keep_the_messages(defects):
+    # 300 rows are three blocks of the check; each defect sits in one or two
+    D = pairwise_distances(oracle_data(300, "rounded"))
+    for kind, i, j in zip(defects[::3], defects[1::3], defects[2::3]):
+        if kind == "asym":
+            D[i, j] += 0.5
+        elif kind == "diag":
+            D[i, j] = 1.0
+        else:
+            D[i, j] = D[j, i] = {"neg": -1.0, "nan": np.nan, "inf": np.inf, "-inf": -np.inf}[kind]
+    want = _check_message(reference_check_distance_matrix, D)
+    assert (want is None) == (defects == ())
+    assert _check_message(check_distance_matrix, D) == want
+
+
 def reference_neighbor_rank_rows(D, direction):
     """Competition ranks as first written: one row at a time."""
     n = D.shape[0]
@@ -416,7 +459,38 @@ class TestRobustGraphOracle:
     @pytest.mark.parametrize("n", ORACLE_SIZES)
     def test_grid(self, n, kind):
         D = pairwise_distances(oracle_data(n, kind))
-        assert_matches_reference(D, (NEAREST, FARTHEST), (0.0, 0.3, 1.0, 1 / 3), oracle_ks(n), (1, 20))
+        # 0.5 and 1/3 put costs on a tie lattice; 1e-9 past them, candidates
+        # miss a tie by less than the descent's tolerance
+        assert_matches_reference(D, (NEAREST, FARTHEST),
+                                 (0.0, 0.3, 1.0, 1 / 3, 0.5, 0.5 + 1e-9, 1 / 3 + 1e-9),
+                                 oracle_ks(n), (1, 20))
+
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 25),
+           lam=st.builds(lambda p, q, e: p / (2 * q) + e, st.integers(1, 6), st.integers(1, 6),
+                         st.sampled_from([0.0, 1e-9, -1e-9])))
+    @settings(max_examples=60, deadline=None)
+    def test_small_integer_data_on_the_tie_lattice(self, seed, n, lam):
+        # rank + lam * (2d + 1) ties across candidates whose ranks differ by p
+        # and degrees by q when lam = p / (2q); 1e-9 off it, a tie is missed
+        # by less than the tolerance.  Three values per coordinate make the
+        # ranks tie as well
+        r = np.random.default_rng(seed)
+        D = pairwise_distances(r.integers(0, 3, size=(n, 2)).astype(float))
+        k = int(r.integers(1, n))
+        direction = NEAREST if seed % 2 else FARTHEST
+        assert_matches_reference(D, (direction,), (lam,), (k,), (1, 3, 20))
+
+    def test_zero_gap_at_the_selection_edge(self):
+        # five evenly spaced points, k=1, lam=1, farthest.  The midpoint,
+        # node 2, has nodes 0 and 4 at rank 1 and starts on node 0.  In the
+        # first sweep node 0 costs it 6 and nodes 4 and 1 cost 4 each: the
+        # selection {4} differs from its set with a zero gap at its edge, and
+        # the totals move it.  In the second sweep nodes 0 and 4 cost 4 each:
+        # the selection {0} differs again with a zero gap, and equal totals
+        # keep node 4
+        D = line_distances([0, 1, 2, 3, 4])
+        assert_matches_reference(D, (FARTHEST,), (1.0,), (1,), (20,))
+        assert robust_graph(D, 1, 1.0, FARTHEST).out_neighbors.ravel().tolist() == [4, 3, 4, 1, 0]
 
     def test_huge_lambda(self):
         # every cost absorbs the rank, so no prefix bound ever holds and the
@@ -745,13 +819,15 @@ def guard_sample():
     (lambda Z, D: knn_graph(D, GUARD_K), 0.5),
     (lambda Z, D: neighbor_rank_rows(D, FARTHEST, 8 * GUARD_K + 1), 0.75),
     (lambda Z, D: robust_graph(D, GUARD_K, 0.3, max_sweeps=1), 1.0),
-], ids=["pairwise_distances", "knn_graph", "neighbor_rank_rows", "robust_graph"])
+    (lambda Z, D: check_distance_matrix(D), 0.05),
+], ids=["pairwise_distances", "knn_graph", "neighbor_rank_rows", "robust_graph",
+        "check_distance_matrix"])
 def test_graph_set_up_builds_no_second_square_array(build, bound, guard_sample):
     # the set-up works in blocks of 128 rows, so D is its only n x n array.
     # tracemalloc peaks in units of 8n^2 bytes with numpy 2.4: 1.12 (D and
-    # a block of distances), 0.18, 0.52 (the (n, 8k + 1) table) and 0.77;
-    # n x n neighbor keys or a condensed distance vector beside D cross the
-    # bounds
+    # a block of distances), 0.18, 0.52 (the (n, 8k + 1) table), 0.77 and
+    # 0.011; n x n neighbor keys or a condensed distance vector beside D, or
+    # an n x n bool temporary (0.125) in the check, cross the bounds
     tracemalloc.start()
     try:
         build(*guard_sample)
