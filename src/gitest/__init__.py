@@ -17,7 +17,7 @@ from .errors import DegenerateDataError, GitestError, StructuralError
 from .graphs import Digraph, UndirectedGraph, kmst, knn_graph, pairwise_distances, robust_graph
 from .inference import GitResult, git_test, permutation_test, run_test
 from .matrixcore import ScoreMatrix
-from .moments import NullMoments, QuadrupleInputs, brute_force_moments, diagnostics, null_moments
+from .moments import NullMoments, QuadrupleInputs, diagnostics, null_moments
 from .scores import ScoreConfig, build_scores
 from .simulate import (
     PowerEstimate,
@@ -38,7 +38,7 @@ __all__ = [
     "ScoreMatrix",
     "Digraph", "UndirectedGraph", "pairwise_distances", "knn_graph", "kmst", "robust_graph",
     "ScoreConfig", "build_scores",
-    "QuadrupleInputs", "NullMoments", "null_moments", "brute_force_moments", "diagnostics",
+    "QuadrupleInputs", "NullMoments", "null_moments", "diagnostics",
     "GitResult", "git_test", "permutation_test", "run_test",
     "SettingSpec", "PowerEstimate", "generate", "estimate_power", "k_sweep",
     "component_power",

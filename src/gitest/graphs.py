@@ -333,7 +333,8 @@ def robust_graph(D, k: int, lam: float, direction: str = NEAREST,
     move without moving (the mover would pick its new set again), or after
     ``max_sweeps`` sweeps; a descent that the cap cuts short logs a warning
     on the ``gitest`` logger.  With lam = 0 no node moves, so the initial
-    graph comes back unchanged.
+    graph comes back unchanged.  A lam for which k * (n + lam * (2n - 1)),
+    the bound on a sum of k costs, overflows raises ``ValueError``.
 
     A node prices only a prefix of its candidates in (rank, index) order.
     Every candidate past the prefix costs at least rank + lam, the cost of an
@@ -372,6 +373,11 @@ def robust_graph(D, k: int, lam: float, direction: str = NEAREST,
     init = knn_graph(D, k, direction)  # validates D
     D = np.asarray(D, dtype=np.float64)
     n = D.shape[0]
+    # every cost is at most C = n + lam * (2n - 1), a rank below n plus the
+    # largest penalty, so a total of k costs is finite while k * C is
+    kC = k * (n + lam * (2.0 * n - 1.0))
+    if not np.isfinite(kC):
+        raise ValueError(f"lam={lam:g} is too large: a sum of k={k} costs could overflow")
     # label-invariant visit order: sort by the smallest distances to peers.
     # one column ties exactly for mutually-nearest pairs, so compare the
     # first three lexicographically; lexsort is stable, so index only breaks
@@ -405,10 +411,8 @@ def robust_graph(D, k: int, lam: float, direction: str = NEAREST,
     # gamma_k * k * C <= 1e-10 * kC and the computed gap by a relative eps,
     # so the tolerance test passes: 2e-10 * kC + 1e-9 * (1 + kC + 1e-10 * kC),
     # plus a few roundings in the test itself, stays below 2e-9 * (1 + kC).
-    # For larger k, or once k * C overflows, margin is inf and every move
-    # takes the test
-    C = n + float(pen[-1])
-    margin = 2e-9 * (1.0 + k * C) if k * np.finfo(float).eps <= 1e-10 else np.inf
+    # For larger k, margin is inf and every move takes the test
+    margin = 2e-9 * (1.0 + kC) if k * np.finfo(float).eps <= 1e-10 else np.inf
 
     def prefix(i, m):
         """Node i's first m candidates, their ranks and membership, and the

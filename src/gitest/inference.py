@@ -15,7 +15,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import gammainc, gammaincc
+from scipy.special import gammaincc
 
 from .errors import DegenerateDataError, StructuralError
 from .moments import NullMoments, QuadrupleInputs, _cross_sums, null_moments, t_stats
@@ -23,20 +23,6 @@ from .rng import substream
 from .scores import ScoreConfig, build_scores
 
 COMPONENT_NAMES = ("RG1", "RG2", "RG3", "RG4")
-
-
-def chi_square_cdf(x: float, df: int) -> float:
-    """Chi-square CDF: the regularized lower incomplete gamma P(df/2, x/2)."""
-    if x < 0:
-        raise ValueError(f"chi-square CDF needs x >= 0, got {x}")
-    if df < 1:
-        raise ValueError(f"degrees of freedom must be positive, got {df}")
-    return float(gammainc(df / 2.0, x / 2.0))
-
-
-def standard_normal_cdf(x: float) -> float:
-    """Phi(x) via the complementary error function."""
-    return 0.5 * math.erfc(-x / math.sqrt(2.0))
 
 
 @dataclass(frozen=True)

@@ -13,19 +13,17 @@ grand sums of the sample's two matrices and the 2x2 tables of their cross
 summaries c2 and c3 (``matrixcore.cross_summarize``).  ``null_moments``
 computes them once per sample and expands them to the four statistics by the
 pairing index; ``diagnostics`` reports the same tables centered, in O(nnz).
-``brute_force_moments`` provides the exhaustive-enumeration oracle.  All
-formulas require symmetric matrices with zero diagonals.
+All formulas require symmetric matrices with zero diagonals.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import StructuralError
+from .errors import DegenerateDataError, StructuralError
 from .matrixcore import ScoreMatrix, cross_summarize
 
 #: eigenvalues below RANK_TOL times the largest count as zero
@@ -123,7 +121,10 @@ def _cov_from_summaries(a1, a1p, a2, a3, b1, b1p, b2, b3, n: int):
 
 
 def _spectral_rank(mu: np.ndarray, sigma: np.ndarray) -> NullMoments:
-    """Moments with the rank, condition and kept eigenpairs of ``sigma``."""
+    """Moments with the rank, condition and kept eigenpairs of ``sigma``;
+    a ``sigma`` that overflowed has no spectrum and raises."""
+    if not np.isfinite(sigma).all():
+        raise DegenerateDataError("null covariance is not finite: the scores overflow")
     eigvals, eigvecs = np.linalg.eigh((sigma + sigma.T) / 2.0)
     lam_max = float(eigvals[-1])
     kept = eigvals > RANK_TOL * max(lam_max, 0.0)
@@ -151,24 +152,6 @@ def null_moments(q: QuadrupleInputs) -> NullMoments:
     sigma = _cov_from_summaries(ax[:, None], ax, c2x[X], c3x[X],
                                 ay[:, None], ay, c2y[Y], c3y[Y], n)
     return _spectral_rank(mu, sigma)
-
-
-def brute_force_moments(q: QuadrupleInputs) -> NullMoments:
-    """Exact moments by enumerating all n! relabelings of the Y sample.
-
-    Oracle for ``null_moments``; guarded to n <= 8.
-    """
-    n = q.n
-    if n > 8:
-        raise ValueError(f"enumeration over {n}! permutations refused (n <= 8)")
-    n_perm = math.factorial(n)
-    y_at = tuple(m.dense().ravel().take for m in (q.dy, q.sy))
-    T = np.empty((n_perm, 4))
-    for idx, pi in enumerate(itertools.permutations(range(n))):
-        T[idx] = _cross_sums(q, np.asarray(pi), y_at)
-    mu = T.mean(axis=0)
-    dev = T - mu
-    return _spectral_rank(mu, dev.T @ dev / n_perm)
 
 
 @dataclass(frozen=True)

@@ -12,19 +12,18 @@ import numpy as np
 import pytest
 
 from gitest.graphs import NEAREST, knn_graph, pairwise_distances, robust_graph, robust_objective
-from gitest.inference import (
-    chi_square_cdf,
-    git_test,
-    permutation_test,
-    quadruple_from_samples,
-    run_test,
-)
-from gitest.moments import QuadrupleInputs, brute_force_moments, null_moments
+from gitest.inference import git_test, permutation_test, quadruple_from_samples, run_test
+from gitest.moments import QuadrupleInputs, null_moments
 from gitest.rng import derive_seed
 from gitest.simulate import SettingSpec, component_power, estimate_power, generate
 
-from conftest import center, make_quadruple
-from test_graphs import exhaustive_best_objective
+from conftest import (
+    brute_force_moments,
+    center,
+    chi_square_cdf,
+    exhaustive_best_objective,
+    make_quadruple,
+)
 
 
 def report(criterion, ok, detail):

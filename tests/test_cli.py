@@ -113,6 +113,15 @@ class TestCmdTest:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("gitest: error: kernel bandwidth is zero")
 
+    def test_overflowing_covariance_exit_2(self, tmp_path, capsys):
+        d = sim.generate(sim.SettingSpec(id="motivating", n=60, p=5, seed=1))
+        px = write_csv(tmp_path / "x.csv", d.x * 1e80)
+        py = write_csv(tmp_path / "y.csv", d.y * 1e80)
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert cli.main(["test", "--x", px, "--y", py, "--scheme", "distance_weight",
+                            "--graph", "knn"]) == 2
+        assert "null covariance is not finite" in capsys.readouterr().err
+
     def test_threads_env_fallback(self, gaussian_pair, capsys, monkeypatch):
         px, py, _, _ = gaussian_pair
         monkeypatch.setenv("GITEST_THREADS", "2")

@@ -30,6 +30,8 @@ from gitest.graphs import (
     robust_objective,
 )
 
+from conftest import exhaustive_best_objective
+
 POINTS_LINE = np.array([[0.0], [1.0], [3.0], [7.0]])
 
 
@@ -228,17 +230,6 @@ class TestRobustObjective:
         order, ranks = neighbor_rank_rows(D, NEAREST, 2)
         assert order[0].tolist() == [1, 2]
         assert ranks[0].tolist() == [1.0, 1.0]  # tied distances share the low rank
-
-
-def exhaustive_best_objective(D, k, lam, direction):
-    n = D.shape[0]
-    best = np.inf
-    for combo in itertools.product(*[
-        itertools.combinations([j for j in range(n) if j != i], k) for i in range(n)
-    ]):
-        G = Digraph(n, k, np.array([sorted(c) for c in combo]))
-        best = min(best, robust_objective(D, G, lam, direction))
-    return best
 
 
 class TestRobustGraph:
@@ -537,6 +528,17 @@ class TestRobustGraphOracle:
                 robust_graph(D, 3, lam)
             with pytest.raises(ValueError, match="lam must be finite and nonnegative"):
                 robust_objective(D, G, lam)
+
+    def test_lambda_whose_cost_sums_overflow(self):
+        # at n = 50, k = 3 the bound k * (n + lam * (2n - 1)) on a sum of k
+        # costs overflows from lam = 1e306 on.  At 1e307 the penalties
+        # themselves overflow, and a descent on inf costs cannot move a node
+        # off a hub
+        D = pairwise_distances(np.random.default_rng(1).standard_normal((50, 4)))
+        for lam in (1e306, 1e307):
+            with pytest.raises(ValueError, match="too large: a sum of k=3 costs could overflow"):
+                robust_graph(D, 3, lam)
+        assert robust_graph(D, 3, 1e305).in_degrees().max() == 3
 
     @pytest.mark.slow
     def test_n1000_gaussian(self):

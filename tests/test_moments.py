@@ -16,14 +16,19 @@ from gitest.moments import (
     _Y_SIDE,
     QuadrupleInputs,
     _cov_from_summaries,
-    brute_force_moments,
     diagnostics,
     null_moments,
     t_stats,
 )
 from gitest.scores import ScoreConfig
 
-from conftest import center, dense_scores, make_quadruple, random_symmetric_scores
+from conftest import (
+    brute_force_moments,
+    center,
+    dense_scores,
+    make_quadruple,
+    random_symmetric_scores,
+)
 
 
 def ones_matrix(n):
