@@ -50,7 +50,7 @@ class UsageError(ValueError):
 def read_matrix_csv(path: str, header: bool = False, delimiter: str = ",") -> np.ndarray:
     """Parse a numeric CSV: rows are observations, columns features."""
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             lines = fh.read().splitlines()
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
@@ -110,14 +110,19 @@ def _score_config(args) -> ScoreConfig:
 
 def _threads(args) -> int:
     if args.threads is not None:
-        return max(1, args.threads)
+        if args.threads < 1:
+            raise UsageError(f"--threads must be at least 1, got {args.threads}")
+        return args.threads
     env = os.environ.get("GITEST_THREADS", "")
     if env.strip():
         try:
-            return max(1, int(env))
+            threads = int(env)
         except ValueError:
             raise DataError(f"GITEST_THREADS is not an integer: {env!r}") from None
-    return max(1, os.cpu_count() or 1)
+        if threads < 1:
+            raise DataError(f"GITEST_THREADS must be at least 1, got {env!r}")
+        return threads
+    return os.cpu_count() or 1
 
 
 def _result_table(d: dict) -> str:

@@ -142,16 +142,14 @@ def kernel_scores(G, D, direction: str) -> ScoreMatrix:
     _check_direction(direction)
     sign = -1.0 if direction == NEAREST else 1.0
     rows, cols = _directed_cells(G)
-    # numpy-scalar squares through math.exp, one cell at a time: np.exp and
-    # the array square round some cells differently
-    sq = [d ** 2 for d in D[rows, cols]]
+    sq = D[rows, cols] ** 2
     bandwidth = float(np.median(sq))
     if bandwidth == 0.0:
         raise DegenerateDataError(
             f"kernel bandwidth is zero: over half the {direction} graph's edges "
             "join coincident observations"
         )
-    return ScoreMatrix(G.n, rows, cols, [math.exp(sign * s / (2.0 * bandwidth)) for s in sq])
+    return ScoreMatrix(G.n, rows, cols, np.exp(sign * sq / (2.0 * bandwidth)))
 
 
 def neighbor_layers(D, k: int, direction: str = NEAREST) -> list[Digraph]:

@@ -4,6 +4,7 @@ them by keyword.  A rename, a removal or a changed signature would only
 surface when the traced benchmark runs; these tests make it fail the ordinary
 suite instead."""
 
+import importlib
 import pathlib
 import sys
 
@@ -15,14 +16,22 @@ from gitest import graphs, inference, moments, scores, simulate
 PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
 
 
-@pytest.fixture(scope="module")
-def layers():
+def _perfbench_module(name):
     sys.path.insert(0, str(PERFBENCH))
     try:
-        import layers
+        return importlib.import_module(name)
     finally:
         sys.path.remove(str(PERFBENCH))
-    return layers
+
+
+@pytest.fixture(scope="module")
+def layers():
+    return _perfbench_module("layers")
+
+
+@pytest.fixture(scope="module")
+def workloads():
+    return _perfbench_module("workloads")
 
 
 def test_every_layer_call_resolves_to_a_callable(layers):
@@ -99,3 +108,15 @@ def test_estimate_power_takes_the_call_the_benchmark_makes():
     spec = simulate.SettingSpec("s5_1", 12, 3, seed=1)
     est = simulate.estimate_power(spec, scores.ScoreConfig(), reps=2, level=0.05)
     assert (est.replications, est.level) == (2, 0.05)
+
+
+@pytest.mark.parametrize("seed", range(2, 12))
+def test_monte_carlo_checks_hold_at_seeds_without_references(seed, workloads):
+    # the benchmark runs seeds that references.json does not cover and checks
+    # only the invariants there: replication 0 of each monte_carlo run must
+    # build, and its p-values and df must pass those checks
+    for sid, cfg in workloads.MC_RUNS:
+        spec = simulate.SettingSpec(sid, workloads.MC_N, workloads.MC_P, seed=seed)
+        _, data = next(simulate._replications(spec, 1))
+        res = inference.git_test(inference.quadruple_from_samples(data.x, data.y, cfg), cfg)
+        assert workloads._result_invariants(res, f"{sid} seed {seed}") == []

@@ -134,6 +134,28 @@ class TestCmdTest:
         with_flag = json.loads(capsys.readouterr().out)["p_permutation"]
         assert with_env == with_flag
 
+    @pytest.mark.parametrize("env", ["abc", "0", "-3"])
+    def test_bad_threads_env_exit_2(self, gaussian_pair, capsys, monkeypatch, env):
+        px, py, _, _ = gaussian_pair
+        monkeypatch.setenv("GITEST_THREADS", env)
+        assert cli.main(["test", "--x", px, "--y", py, "--method", "both"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        err = err.splitlines()
+        assert len(err) == 1 and err[0].startswith("gitest: error: GITEST_THREADS")
+
+    def test_byte_order_mark_accepted(self, gaussian_pair, tmp_path, capsys):
+        # spreadsheet exports start a UTF-8 file with U+FEFF
+        px, py, _, _ = gaussian_pair
+        assert cli.main(["test", "--x", px, "--y", py]) == 0
+        plain = capsys.readouterr().out
+        marked = []
+        for name, path in (("xb.csv", px), ("yb.csv", py)):
+            (tmp_path / name).write_bytes(b"\xef\xbb\xbf" + open(path, "rb").read())
+            marked.append(str(tmp_path / name))
+        assert cli.main(["test", "--x", marked[0], "--y", marked[1]]) == 0
+        assert capsys.readouterr().out == plain
+
 
 class TestCmdSimulate:
     def test_byte_identical_runs(self, capsys):
@@ -340,6 +362,8 @@ class TestCmdGraph:
      "--plot-data", "--timing"],
     ["simulate", "--setting", "s5_1", "--n", "10", "--p", "2", "--reps", "1",
      "--threads", "2"],
+    ["test", "--method", "both", "--threads", "0"],
+    ["test", "--method", "both", "--threads", "-3"],
 ])
 def test_invalid_flag_value_is_usage_error(argv, tmp_path, rng, capsys):
     # samples of n=30 rows: --k 40 exceeds n - 1, and --k 20 exceeds the 15

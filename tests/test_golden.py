@@ -41,13 +41,13 @@ GOLDEN = {
     "test-json": "c515eb887a6f67d68faa7184129a74f788449051837b6d3f9fa7a8966e085af5",
     "test-table": "0f17ff51b80dff812816290f7956d545532b7727d15e05670837dc0a2af7fbc3",
     "test-csv": "c54affe983ec4bf25663f2a0439a3d36e241b33c70982e0726294d8fbda39438",
-    "test-kernel_weight-knn": "e12447163805b6d42afe2db9e8e7ad03ee8e1aadf1b1f8148c92b559ce9b745f",
+    "test-kernel_weight-knn": "1d74a8c62db242164a7a37bd5576440baa03ebd22d2f3e2ed2fa1165a83bd065",
     "test-graph_rank-kmst": "1cbdf8b0b50bf589355f8fcae9c0b5d80ecb95fe33e7cd0acf062cef5e1c5d46",
     "test-adjacency-robust_knn": "a15d7069f62242d7a596b7a165ece05fcc1efbe38fd3c399c9d34a10c95b54b2",
     "test-distance_weight-kmst": "ae57fb3013adc785d77edf42c95994fe913548f3e56c1b098afc8c96317f6cf4",
     "test-graph_rank-knn": "65ad94477f234db8db7a3f633618163e07660059686bd2b96edc8c5f427d82af",
     "diagnose": "d02e234daa1d997f26d60c68ec93403c83938e1940714de8094060f9cb5e1411",
-    "diagnose-kernel_weight-knn": "7c822009f9aea0fc8e944d83f35d81129fd1976b57a3ff684c47d1ac2ec797d4",
+    "diagnose-kernel_weight-knn": "acf167e916338790adff3806ad5b3750f999d272f6e2d684cc9f0de58c19cdd2",
     "graph-knn": "c459ddef31febc4f41e6f8fbb169777f7524f95c847f5f78f6dedb94a7e54e2c",
     "graph-kfp": "ecfab0d5febab026ab3b9fb09412d4e5c1781030cc3ca03e1fe76adde268fc1c",
     "graph-kmst": "9c8c9c96d054ce3194349d68b215b876bfc394bf0196b367a79a7e7e3224b6a0",

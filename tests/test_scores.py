@@ -155,9 +155,9 @@ class TestKernel:
 
 
 class TestKernelBits:
-    """Each kernel value is the math.exp of a numpy-scalar square over the
-    median of those squares, bit for bit: np.exp and array squares round
-    some cells differently, and the golden digests do not notice."""
+    """Each kernel value is np.exp of the array of squared edge lengths over
+    twice their median, bit for bit; the golden digests do not notice a
+    change in the last bits."""
 
     @pytest.mark.parametrize("names", [("knn", "kfp"), ("kmst", "kmaxst")])
     def test_exact_values(self, names):
@@ -165,17 +165,18 @@ class TestKernelBits:
         k = ScoreConfig().resolve_k(60)
         pair = [union_graph(GRAPHS[name](D, k, 0.0)) for name in names]
         for G, direction, sign in zip(pair, (NEAREST, FARTHEST), (-1.0, 1.0)):
-            cells = list(zip(*np.nonzero(adjacency_scores(G).dense())))
-            bw = float(np.median([D[i, j] ** 2 for i, j in cells]))
-            M = kernel_scores(G, D, direction).dense()
+            M = kernel_scores(G, D, direction)
+            assert np.array_equal(M.keys, adjacency_scores(G).keys), direction
+            sq = D[M.rows, M.cols] ** 2
+            bw = float(np.median(sq))
 
             def kernel(bandwidth):
-                return [math.exp(sign * D[i, j] ** 2 / (2 * bandwidth)) for i, j in cells]
+                return np.exp(sign * sq / (2.0 * bandwidth))
 
-            assert [M[c] for c in cells] == kernel(bw), direction
+            assert np.array_equal(M.values, kernel(bw)), direction
             # the values pin the bandwidth bit for bit: one ulp either way moves some
             for off in (-np.inf, np.inf):
-                assert [M[c] for c in cells] != kernel(np.nextafter(bw, off)), direction
+                assert not np.array_equal(M.values, kernel(np.nextafter(bw, off))), direction
 
 
 class TestGraphRank:
