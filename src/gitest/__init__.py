@@ -22,7 +22,6 @@ from .scores import ScoreConfig, build_scores
 from .simulate import (
     PowerEstimate,
     SettingSpec,
-    component_power,
     estimate_power,
     generate,
     k_sweep,
@@ -41,6 +40,5 @@ __all__ = [
     "QuadrupleInputs", "NullMoments", "null_moments", "diagnostics",
     "GitResult", "git_test", "permutation_test", "run_test",
     "SettingSpec", "PowerEstimate", "generate", "estimate_power", "k_sweep",
-    "component_power",
     "GitestError", "StructuralError", "DegenerateDataError",
 ]

@@ -213,21 +213,19 @@ def cmd_simulate(args) -> int:
                 for spec in specs
                 for row in sim.k_sweep(spec, alphas, reps=reps, level=level,
                                        method=args.method)]
-    elif args.components:
-        rows = [sim.tidy_row(spec, reps, level, "analytic", name, power)
-                for spec in specs
-                for name, power in sim.component_power(spec, reps=reps, level=level).items()]
     else:
         estimates = [sim.estimate_power(spec, method=args.method, reps=reps, level=level)
                      for spec in specs]
-        if not args.plot_data:
+        if not (args.components or args.plot_data):
             if args.format == "json":
                 print(json.dumps(sim.power_json(estimates, timing=args.timing), indent=2))
             else:
                 sys.stdout.write(sim.power_csv(estimates, timing=args.timing))
             return EXIT_OK
-        rows = [sim.tidy_row(e.setting, reps, level, e.method, "GIT", e.power)
-                for e in estimates]
+        rows = [sim.tidy_row(e.setting, reps, level, e.method, name, power)
+                for e in estimates
+                for name, power in ({**e.components, "GIT": e.power} if args.components
+                                    else {"GIT": e.power}).items()]
     if args.format == "json":
         print(json.dumps(rows, indent=2))
     else:

@@ -138,7 +138,8 @@ def distance_weight_scores(G, D, direction: str) -> ScoreMatrix:
 def kernel_scores(G, D, direction: str) -> ScoreMatrix:
     """Gaussian kernel weights: decaying on a nearest graph's edges, growing
     on a farthest graph's.  The squared bandwidth is the median squared edge
-    length of ``G``; a zero median raises DegenerateDataError."""
+    length of ``G``; a zero median, or a weight too large for a float,
+    raises DegenerateDataError."""
     _check_direction(direction)
     sign = -1.0 if direction == NEAREST else 1.0
     rows, cols = _directed_cells(G)
@@ -149,7 +150,16 @@ def kernel_scores(G, D, direction: str) -> ScoreMatrix:
             f"kernel bandwidth is zero: over half the {direction} graph's edges "
             "join coincident observations"
         )
-    return ScoreMatrix(G.n, rows, cols, np.exp(sign * sq / (2.0 * bandwidth)))
+    exponent = sign * sq / (2.0 * bandwidth)
+    with np.errstate(over="ignore"):
+        weights = np.exp(exponent)
+    if not np.isfinite(weights).all():
+        raise DegenerateDataError(
+            f"kernel weights overflow on the {direction} graph: the largest exponent is "
+            f"{exponent.max():.3g}, above the float limit {math.log(np.finfo(float).max):.6g}; "
+            "the data are too heavy-tailed for kernel_weight"
+        )
+    return ScoreMatrix(G.n, rows, cols, weights)
 
 
 def neighbor_layers(D, k: int, direction: str = NEAREST) -> list[Digraph]:

@@ -19,7 +19,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .inference import git_test, permutation_test, quadruple_from_samples
+from .inference import COMPONENT_NAMES, _permutation_p, git_test, quadruple_from_samples
 from .rng import derive_seed
 from .scores import ScoreConfig
 
@@ -63,11 +63,9 @@ def _by_p(p: int, breaks: list[tuple[int, float]], top: float) -> float:
 # -- recipe implementations -------------------------------------------------
 
 
-def _gen_motivating(rng, n, p, ov):
-    b = ov.pop("b", 0.0)
+def _gen_motivating(rng, n, p):
     x = rng.standard_normal((n, p))
-    eps = rng.standard_normal((n, p))
-    return x, np.log(np.abs(x)) + b * eps
+    return x, np.log(np.abs(x))
 
 
 _TUNE_PARAMS = {
@@ -78,12 +76,11 @@ _TUNE_PARAMS = {
 
 
 def _gen_tune(setting_id):
-    family, a_default, b_table = _TUNE_PARAMS[setting_id]
+    family, a, b_table = _TUNE_PARAMS[setting_id]
     draw = _BASE_DRAWS[family]
 
-    def gen(rng, n, p, ov):
-        a = ov.pop("a", a_default)
-        b = ov.pop("b", b_table.get(n))  # SettingSpec rejects an off-table n without b
+    def gen(rng, n, p):
+        b = b_table[n]  # SettingSpec refuses an n the table lacks
         x = draw(rng, (n, p))
         eps = draw(rng, (n, p))
         return x, 1.0 / np.abs(x + a) + b * eps
@@ -92,7 +89,7 @@ def _gen_tune(setting_id):
 
 
 def _gen_s1(variant):
-    def gen(rng, n, p, ov):
+    def gen(rng, n, p):
         if variant == 1:
             u = rng.standard_normal((n, p))
         elif variant == 2:
@@ -102,17 +99,14 @@ def _gen_s1(variant):
         bx = _bernoulli_signs(rng, n)[:, None]
         by = _bernoulli_signs(rng, n)[:, None]
         if variant == 1:
-            sd = ov.pop("noise_sd", 1.5)
-            ex = sd * rng.standard_normal((n, p))
-            ey = sd * rng.standard_normal((n, p))
+            ex = 1.5 * rng.standard_normal((n, p))
+            ey = 1.5 * rng.standard_normal((n, p))
         elif variant == 2:
-            scale = ov.pop("noise_scale", 1.5)
-            ex = scale * t10(rng, (n, p))
-            ey = scale * t10(rng, (n, p))
+            ex = 1.5 * t10(rng, (n, p))
+            ey = 1.5 * t10(rng, (n, p))
         else:
-            mean = ov.pop("noise_log_mean", -0.5)
-            ex = lognormal(rng, mean, 1.0, (n, p))
-            ey = lognormal(rng, mean, 1.0, (n, p))
+            ex = lognormal(rng, -0.5, 1.0, (n, p))
+            ey = lognormal(rng, -0.5, 1.0, (n, p))
         core = np.log(np.abs(u))
         return bx * core + ex, by * (5.0 - core) + ey
 
@@ -120,14 +114,14 @@ def _gen_s1(variant):
 
 
 def _gen_s2(variant):
-    def gen(rng, n, p, ov):
+    def gen(rng, n, p):
         if variant == 1:
             sigma = rng.standard_normal(n)
             sig_x = sigma * rng.standard_normal(n)
             sig_y = sigma * rng.standard_normal(n)
             ux = (2.0 - sig_x)[:, None] * rng.standard_normal((n, p))
             uy = sig_y[:, None] * rng.standard_normal((n, p))
-            sd = ov.pop("noise_sd", _by_p(p, [(100, 0.6)], 1.0))
+            sd = _by_p(p, [(100, 0.6)], 1.0)
             ex = sd * rng.standard_normal((n, p))
             ey = sd * rng.standard_normal((n, p))
         elif variant == 2:
@@ -136,7 +130,7 @@ def _gen_s2(variant):
             sig_y = sigma * t10(rng, n)
             ux = (2.0 - sig_x)[:, None] * t10(rng, (n, p))
             uy = sig_y[:, None] * t10(rng, (n, p))
-            scale = ov.pop("noise_scale", _by_p(p, [(100, 0.4)], 1.0))
+            scale = _by_p(p, [(100, 0.4)], 1.0)
             ex = scale * t10(rng, (n, p))
             ey = scale * t10(rng, (n, p))
         else:
@@ -145,7 +139,7 @@ def _gen_s2(variant):
             sig_y = np.exp(sigma * rng.standard_normal(n))
             ux = np.exp((5.0 - sig_x)[:, None] * rng.standard_normal((n, p)))
             uy = np.exp(sig_y[:, None] * rng.standard_normal((n, p)))
-            scale = ov.pop("noise_scale", _by_p(p, [(1000, 0.2)], 0.1))
+            scale = _by_p(p, [(1000, 0.2)], 0.1)
             ex = scale * lognormal(rng, 0.0, 1.0, (n, p))
             ey = scale * lognormal(rng, 0.0, 1.0, (n, p))
         return ux + ex, uy + ey
@@ -154,19 +148,19 @@ def _gen_s2(variant):
 
 
 def _gen_s3(variant):
-    def gen(rng, n, p, ov):
+    def gen(rng, n, p):
         m = (n + 1) // 2  # first half (rounded up) follows the first regime
         if variant == 1:
             x = rng.standard_normal((n, p))
-            eps = ov.pop("noise_sd", 1.2) * rng.standard_normal((n, p))
+            eps = 1.2 * rng.standard_normal((n, p))
             first, second = np.log(np.abs(x[:m])), np.exp(0.6 * x[m:])
         elif variant == 2:
             x = t10(rng, (n, p))
-            eps = ov.pop("noise_scale", 1.0) * t10(rng, (n, p))
+            eps = t10(rng, (n, p))
             first, second = np.log(np.abs(x[:m])), np.exp(0.5 * x[m:])
         else:
             x = lognormal(rng, -4.0, 1.0, (n, p))
-            sd = ov.pop("noise_log_sd", _by_p(p, [(100, 2.9), (400, 2.3)], 2.0))
+            sd = _by_p(p, [(100, 2.9), (400, 2.3)], 2.0)
             eps = lognormal(rng, -4.0, sd, (n, p))
             first, second = np.log(x[:m]), np.exp(0.7 * x[m:])
         y = np.concatenate([first, second]) + eps
@@ -176,22 +170,19 @@ def _gen_s3(variant):
 
 
 def _gen_s4(variant):
-    def gen(rng, n, p, ov):
+    def gen(rng, n, p):
         if variant == 1:
             draw = _BASE_DRAWS["normal"]
-            noise = ov.pop("noise_sd", 8.0)
-            noise_x = noise * rng.standard_normal(n)
-            noise_y = noise * rng.standard_normal(n)
+            noise_x = 8.0 * rng.standard_normal(n)
+            noise_y = 8.0 * rng.standard_normal(n)
         elif variant == 2:
             draw = _BASE_DRAWS["t10"]
-            noise = ov.pop("noise_scale", 10.0)
-            noise_x = noise * t10(rng, n)
-            noise_y = noise * t10(rng, n)
+            noise_x = 10.0 * t10(rng, n)
+            noise_y = 10.0 * t10(rng, n)
         else:
             draw = _BASE_DRAWS["lognormal"]
-            sd = ov.pop("noise_log_sd", 25.0)
-            noise_x = lognormal(rng, 0.0, sd, n)
-            noise_y = lognormal(rng, 0.0, sd, n)
+            noise_x = lognormal(rng, 0.0, 25.0, n)
+            noise_y = lognormal(rng, 0.0, 25.0, n)
         L = draw(rng, (n, p))
         x = np.empty((n, p))
         y = np.empty((n, p))
@@ -207,7 +198,7 @@ def _gen_s4(variant):
 def _gen_s5(variant):
     draw = _BASE_DRAWS[["normal", "t10", "lognormal"][variant - 1]]
 
-    def gen(rng, n, p, ov):
+    def gen(rng, n, p):
         return draw(rng, (n, p)), draw(rng, (n, p))
 
     return gen
@@ -238,31 +229,30 @@ def default_dimensions(setting_id: str) -> tuple[int, int]:
 
 @dataclass(frozen=True)
 class SettingSpec:
-    """One simulation scenario: recipe id, dimensions, seed, overrides."""
+    """One simulation scenario: recipe id, dimensions, seed.  n is at least
+    4, the fewest paired observations the test takes."""
 
     id: str
     n: int
     p: int
     seed: int = 0
-    overrides: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.id not in _GENERATORS:
             raise ValueError(f"unknown setting {self.id!r}; valid ids: {', '.join(SETTING_IDS)}")
-        if self.n < 2 or self.p < 1:
-            raise ValueError(f"need n >= 2 and p >= 1, got n={self.n}, p={self.p}")
-        if self.id in _TUNE_PARAMS and "b" not in self.overrides:
+        if self.n < 4 or self.p < 1:
+            raise ValueError(f"need n >= 4 and p >= 1, got n={self.n}, p={self.p}")
+        if self.id in _TUNE_PARAMS:
             b_table = _TUNE_PARAMS[self.id][2]
             if self.n not in b_table:
-                raise ValueError(
-                    f"{self.id} has no tabulated noise level for n={self.n}; "
-                    f"known n: {sorted(b_table)} (pass overrides={{'b': ...}})"
-                )
+                raise ValueError(f"{self.id} has no tabulated noise level for n={self.n}; "
+                                 f"known n: {sorted(b_table)}")
 
 
 @dataclass(frozen=True)
 class PowerEstimate:
-    """Rejection summary of one Monte Carlo run."""
+    """Rejection summary of one Monte Carlo run: ``power`` is the combined
+    test's rejection rate, ``components`` maps RG1..RG4 to theirs."""
 
     setting: SettingSpec
     replications: int
@@ -271,20 +261,13 @@ class PowerEstimate:
     power: float
     runtime_seconds: float
     method: str = "analytic"
+    components: dict[str, float] = field(default_factory=dict)
 
 
 def generate(spec: SettingSpec) -> PairedSample:
-    """Draw one paired sample per the setting's recipe, fixed by spec.seed.
-
-    Raises ValueError naming every override key the recipe never looks up,
-    so a misspelled override cannot pass unnoticed.
-    """
+    """Draw one paired sample per the setting's recipe, fixed by spec.seed."""
     rng = np.random.Generator(np.random.PCG64(spec.seed))
-    ov = dict(spec.overrides)  # the recipe pops each key it reads
-    x, y = _GENERATORS[spec.id](rng, spec.n, spec.p, ov)
-    if ov:
-        raise ValueError(f"setting {spec.id!r} reads no override named "
-                         f"{', '.join(map(repr, sorted(ov)))}")
+    x, y = _GENERATORS[spec.id](rng, spec.n, spec.p)
     return PairedSample(np.asarray(x, dtype=np.float64), np.asarray(y, dtype=np.float64))
 
 
@@ -296,38 +279,41 @@ def _replications(spec: SettingSpec, reps: int):
         yield rep_master, generate(replace(spec, seed=derive_seed(rep_master, 0)))
 
 
-def _check_run(reps: int, level: float) -> None:
+def estimate_power(spec: SettingSpec, cfg: ScoreConfig = ScoreConfig(),
+                   method: str = "analytic", reps: int = 200, level: float = 0.05,
+                   n_perm: int = 500) -> PowerEstimate:
+    """Fraction of replications rejecting at ``level`` (p < level), for the
+    combined test and for each of its components RG1..RG4.
+
+    ``method`` picks the combined test's p-value, "analytic" or
+    "permutation"; a permutation test of replication r draws its
+    permutations from substream 1 of its rep_master.  The components'
+    p-values are always analytic.
+    """
     if reps < 1:
         raise ValueError("reps must be positive")
     if not 0 < level <= 1:
         raise ValueError("level must lie in (0, 1]")
-
-
-def estimate_power(spec: SettingSpec, cfg: ScoreConfig = ScoreConfig(),
-                   method: str = "analytic", reps: int = 200, level: float = 0.05,
-                   n_perm: int = 500) -> PowerEstimate:
-    """Fraction of replications rejecting at ``level`` (p < level).
-
-    ``method`` is "analytic" or "permutation"; a permutation test of
-    replication r draws its permutations from substream 1 of its rep_master.
-    """
-    _check_run(reps, level)
     if method not in ("analytic", "permutation"):
         raise ValueError(f"unknown method {method!r}")
     start = time.perf_counter()
     rejections = 0
+    counts = dict.fromkeys(COMPONENT_NAMES, 0)
     for rep_master, data in _replications(spec, reps):
         q = quadruple_from_samples(data.x, data.y, cfg)
+        res = git_test(q, cfg)
         if method == "analytic":
-            p = git_test(q, cfg).p_analytic
+            p = res.p_analytic
         else:
-            p = permutation_test(q, n_perm=n_perm, seed=derive_seed(rep_master, 1))
-        if p < level:
-            rejections += 1
+            p = _permutation_p(q, res, n_perm, derive_seed(rep_master, 1), threads=1)
+        rejections += p < level
+        for comp in res.components:
+            counts[comp.name] += comp.p < level
     runtime = time.perf_counter() - start
     return PowerEstimate(
         setting=spec, replications=reps, level=level, rejections=rejections,
         power=rejections / reps, runtime_seconds=runtime, method=method,
+        components={name: c / reps for name, c in counts.items()},
     )
 
 
@@ -346,21 +332,6 @@ def k_sweep(spec: SettingSpec, alphas, reps: int = 200, cfg: ScoreConfig = Score
         row["power"] = estimate_power(spec, replace(cfg, k=row["k"]), method=method,
                                       reps=reps, level=level).power
     return rows
-
-
-def component_power(spec: SettingSpec, reps: int = 200, cfg: ScoreConfig = ScoreConfig(),
-                    level: float = 0.05) -> dict[str, float]:
-    """Rejection rates of the four standardized components and the full test."""
-    _check_run(reps, level)
-    counts = {name: 0 for name in ("RG1", "RG2", "RG3", "RG4", "GIT")}
-    for _, data in _replications(spec, reps):
-        res = git_test(quadruple_from_samples(data.x, data.y, cfg), cfg)
-        for comp in res.components:
-            if comp.p < level:
-                counts[comp.name] += 1
-        if res.p_analytic < level:
-            counts["GIT"] += 1
-    return {name: c / reps for name, c in counts.items()}
 
 
 # -- result emission ---------------------------------------------------------

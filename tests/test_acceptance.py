@@ -15,7 +15,7 @@ from gitest.graphs import NEAREST, knn_graph, pairwise_distances, robust_graph, 
 from gitest.inference import git_test, permutation_test, quadruple_from_samples, run_test
 from gitest.moments import QuadrupleInputs, null_moments
 from gitest.rng import derive_seed
-from gitest.simulate import SettingSpec, component_power, estimate_power, generate
+from gitest.simulate import SettingSpec, estimate_power, generate
 
 from conftest import (
     brute_force_moments,
@@ -165,9 +165,11 @@ def test_criterion_7_invariances():
 
 @pytest.mark.slow
 def test_criterion_8_component_ordering():
-    table41 = component_power(SettingSpec(id="s4_1", n=100, p=100, seed=8001), reps=200)
+    table41 = estimate_power(SettingSpec(id="s4_1", n=100, p=100, seed=8001),
+                             reps=200).components
     ok41 = all(table41["RG4"] >= table41[name] - 0.05 for name in ("RG1", "RG2", "RG3"))
-    table11 = component_power(SettingSpec(id="s1_1", n=100, p=100, seed=8002), reps=200)
+    table11 = estimate_power(SettingSpec(id="s1_1", n=100, p=100, seed=8002),
+                             reps=200).components
     ok11 = all(
         table11[strong] >= table11[weak] - 0.05
         for strong in ("RG1", "RG4")

@@ -22,7 +22,7 @@ PUBLIC = {
     "run_test", "git_test", "permutation_test", "build_scores",
     "null_moments", "diagnostics",
     "pairwise_distances", "knn_graph", "kmst", "robust_graph",
-    "generate", "estimate_power", "k_sweep", "component_power",
+    "generate", "estimate_power", "k_sweep",
     "ScoreMatrix", "Digraph", "UndirectedGraph", "ScoreConfig", "QuadrupleInputs",
     "NullMoments", "GitResult", "SettingSpec", "PowerEstimate",
     "GitestError", "StructuralError", "DegenerateDataError",

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -112,6 +113,18 @@ class TestCmdTest:
                         "--graph", "knn"]) == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("gitest: error: kernel bandwidth is zero")
+
+    def test_overflowing_kernel_weights_exit_2(self, tmp_path, capsys):
+        # heavy tails: a farthest-side weight exp(d^2 / 2h) overflows
+        d = sim.generate(sim.SettingSpec(id="s4_3", n=100, p=20, seed=0))
+        px = write_csv(tmp_path / "x.csv", d.x)
+        py = write_csv(tmp_path / "y.csv", d.y)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(["test", "--x", px, "--y", py, "--scheme", "kernel_weight",
+                            "--graph", "knn"]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("gitest: error: kernel weights overflow")
 
     def test_overflowing_covariance_exit_2(self, tmp_path, capsys):
         d = sim.generate(sim.SettingSpec(id="motivating", n=60, p=5, seed=1))
@@ -261,7 +274,18 @@ class TestCmdSimulate:
                         "--reps", "1"]) == 64
         out, err = capsys.readouterr()
         assert out == "" and draws == []
-        assert err.startswith("gitest: error: need n >= 2")
+        assert err.startswith("gitest: error: need n >= 4")
+
+    def test_cell_below_four_rows_fails_before_the_first_replication(self, monkeypatch,
+                                                                        capsys):
+        # the test needs 4 paired observations; the n=100 cell must not run first
+        draws = []
+        monkeypatch.setattr(sim, "generate", lambda spec: draws.append(spec))
+        assert cli.main(["simulate", "--setting", "s5_1", "--n", "100", "3", "--p", "5",
+                        "--reps", "20"]) == 64
+        out, err = capsys.readouterr()
+        assert out == "" and draws == []
+        assert err.startswith("gitest: error: need n >= 4")
 
     @pytest.mark.parametrize("grid", [
         ["--setting", "tune_i", "s5_1", "--n", "50", "--p", "3", "--sweep-alphas", "0.5"],

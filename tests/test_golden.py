@@ -38,6 +38,11 @@ GOLDEN = {
     "simulate-power-grid": "98691e8108d7369d62ac76c7a71b1113eefd5bb4c3deeab27f7bc264c704aa86",
     "simulate-sweep-p3": "630a37f6bfcf97782312c6ca9b75eed2a90eeb86f0350196d60d5b91dd65c55e",
     "simulate-components-grid": "0ee1f09d9c871bb50964ed072f56ebf82caa4aeb4250cbe64177eab008371250",
+    "simulate-plot-data": "1a32c0ab11fada5bb4153930ab67702673cdc19565ead6168adcd2726a64b75b",
+    "simulate-json": "8e4528399395fa1b1081c9fb59cbf85fd922fd4fe2b8972eb2cafbb702487c47",
+    "simulate-components-json": "5160dfbf2b3170c2e2fd3fb8c784bb3b11bee5d82b256c6632ce8372876dfb46",
+    "simulate-sweep-json": "7a7f5c8ec092c4aa2d13a91328e9cd7b61316dbbf059b21ddb18ec39e9f81abf",
+    "simulate-permutation": "eff7f277bc6a284b9c4114920828097aa3d1d3d1c10c454520aa3b3c483053c6",
     "test-json": "c515eb887a6f67d68faa7184129a74f788449051837b6d3f9fa7a8966e085af5",
     "test-table": "0f17ff51b80dff812816290f7956d545532b7727d15e05670837dc0a2af7fbc3",
     "test-csv": "c54affe983ec4bf25663f2a0439a3d36e241b33c70982e0726294d8fbda39438",
@@ -69,6 +74,15 @@ GRIDS = {
 }
 
 
+#: the other reports of the base simulate cell, one flag set each
+SIMULATE_FLAGS = {
+    "simulate-components": ["--components"],
+    "simulate-plot-data": ["--plot-data"],
+    "simulate-json": ["--format", "json"],
+    "simulate-components-json": ["--components", "--format", "json"],
+}
+
+
 def _argv(case, px, py):
     simulate = ["simulate", "--setting", "s5_1", "--n", "30", "--p", "5", "--reps", "5",
                 "--seed", "7"]
@@ -77,11 +91,15 @@ def _argv(case, px, py):
         return simulate
     if case in GRIDS:
         return ["simulate", *GRIDS[case], "--reps", "3", "--seed", "7"]
-    if case == "simulate-components":
-        return simulate + ["--components"]
-    if case == "simulate-sweep":
-        return ["simulate", "--setting", "tune_i", "--n", "50", "--reps", "5", "--seed", "7",
-                "--sweep-alphas", "0.3,0.6"]
+    if case in SIMULATE_FLAGS:
+        return simulate + SIMULATE_FLAGS[case]
+    if case.startswith("simulate-sweep"):
+        sweep = ["simulate", "--setting", "tune_i", "--n", "50", "--reps", "5", "--seed", "7",
+                 "--sweep-alphas", "0.3,0.6"]
+        return sweep + (["--format", "json"] if case.endswith("-json") else [])
+    if case == "simulate-permutation":
+        return ["simulate", "--setting", "s5_1", "--n", "16", "--p", "3", "--reps", "3",
+                "--seed", "7", "--method", "permutation"]
     if case.startswith("test-") and case.count("-") == 2:
         _, scheme, graph = case.split("-")
         # at n=30 the kmst pair holds only three edge-disjoint maximal trees

@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -139,6 +140,17 @@ class TestKernel:
         for direction in (NEAREST, FARTHEST):
             with pytest.raises(DegenerateDataError, match="bandwidth is zero"):
                 kernel_scores(G, D, direction)
+
+    def test_overflowing_weights_raise_without_warning(self):
+        # the edge 4->3 is 197 median edge lengths long: its farthest-side
+        # weight exp(197^2 / 2) overflows
+        D = pairwise_distances(np.array([[0.0], [1.0], [2.0], [3.0], [200.0]]))
+        G = knn_graph(D, 1, NEAREST)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DegenerateDataError, match="kernel weights overflow"):
+                kernel_scores(G, D, FARTHEST)
+            assert kernel_scores(G, D, NEAREST).values.min() == 0.0  # underflow is exact
 
     def test_monotone_in_distance(self, rng):
         Z = rng.standard_normal((12, 3))

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -8,7 +9,6 @@ from gitest.rng import derive_seed, splitmix64_mix
 from gitest.simulate import (
     SETTING_IDS,
     SettingSpec,
-    component_power,
     default_dimensions,
     estimate_power,
     generate,
@@ -45,12 +45,9 @@ class TestSettingSpec:
     def test_all_ids_generate(self):
         for sid in SETTING_IDS:
             n, p = default_dimensions(sid)
-            n, p = min(n, 20), min(p, 6)
-            if sid.startswith("tune"):
-                spec = SettingSpec(id=sid, n=n, p=p, seed=1, overrides={"b": 0.5})
-            else:
-                spec = SettingSpec(id=sid, n=n, p=p, seed=1)
-            sample = generate(spec)
+            # tune_* noise levels are tabulated at n = 50, 100 and 150 only
+            n, p = (50 if sid.startswith("tune") else 20), min(p, 6)
+            sample = generate(SettingSpec(id=sid, n=n, p=p, seed=1))
             assert sample.x.shape == (n, p)
             assert sample.y.shape == (n, p)
             assert np.all(np.isfinite(sample.x))
@@ -58,36 +55,61 @@ class TestSettingSpec:
 
     def test_tune_refuses_off_table_n(self):
         # refused when the spec is built, so a grid fails before any cell runs
-        with pytest.raises(ValueError, match="n=73"):
-            SettingSpec(id="tune_i", n=73, p=4)
-        generate(SettingSpec(id="tune_i", n=73, p=4, overrides={"b": 1.0}))
+        for n in (73, 200):
+            with pytest.raises(ValueError, match=f"n={n}; known n: \\[50, 100, 150\\]"):
+                SettingSpec(id="tune_i", n=n, p=4)
+        for n in (50, 100, 150):
+            assert generate(SettingSpec(id="tune_i", n=n, p=4)).y.shape == (n, 4)
+
+    def test_refuses_fewer_than_four_rows(self):
+        # the test needs 4 paired observations, so a cell below that is refused
+        # when the spec is built, not after the cells before it have run
+        with pytest.raises(ValueError, match="need n >= 4"):
+            SettingSpec(id="s5_1", n=3, p=2)
+        assert generate(SettingSpec(id="s5_1", n=4, p=2)).x.shape == (4, 2)
 
 
-# every override key each recipe reads
-OVERRIDE_KEYS = {
-    "motivating": ["b"],
-    "tune_i": ["a", "b"], "tune_ii": ["a", "b"], "tune_iii": ["a", "b"],
-    "s1_1": ["noise_sd"], "s1_2": ["noise_scale"], "s1_3": ["noise_log_mean"],
-    "s2_1": ["noise_sd"], "s2_2": ["noise_scale"], "s2_3": ["noise_scale"],
-    "s3_1": ["noise_sd"], "s3_2": ["noise_scale"], "s3_3": ["noise_log_sd"],
-    "s4_1": ["noise_sd"], "s4_2": ["noise_scale"], "s4_3": ["noise_log_sd"],
-    "s5_1": [], "s5_2": [], "s5_3": [],
+#: sha256 over generate's x and y bytes for (n, p) in (50, 3), (100, 20),
+#: (150, 100) and seeds 0 and 7, recorded while each recipe still took
+#: its noise level as an overridable default
+GENERATE_DIGESTS = {
+    "motivating": "2d8bb3bf60039f24e336b87f2c576c88f46d35617ac6c148518f194c35e82af7",
+    "s1_1": "6ce41a9d54dfcc56032069dfb394b3463201e63c5ea3a9355871f141a3f2f8df",
+    "s1_2": "a7fd92fe5685ccd38068b95d1f7e7c1090c0f6362c17cc272026dc9fb232840e",
+    "s1_3": "4d0ce2505d7a169d6a33ca1a4d07e437ccb1844199a8b0eb645f704f52f9d7f8",
+    "s2_1": "0450e06b657b161d3480ea99e239265a791df44e1dc99f7a7d3793b91b1025c6",
+    "s2_2": "06cdb3ab5f0dc51f6f815c87017bc668014d8c0dda29afd3b3f132c1b55fc4b5",
+    "s2_3": "eb6dc063fb88e628847d10c04659cf5814b98ca81eba30f2422461d5b563a712",
+    "s3_1": "5b9c1d4c9d9be6700412b0aa4743457aef27433374a7c98be7aa891fbe72a96e",
+    "s3_2": "99810dcc81e4d6033804691213adb80feba8fb6c05e0f52af8744993fff1697f",
+    "s3_3": "0fa710518cc7c278d49ffa8a4d782383d36188fad59407b9222ec531263cbe5b",
+    "s4_1": "b6bac86f5487df5cab3924d4d6456e08ff0c48dc9419cc95000521f928e23193",
+    "s4_2": "bfa8aa8e52d0ab5103d3d206b1e50aaea0ef39b047c938d14afeb6b23831e8a2",
+    "s4_3": "7bd8250aad028f7c092cd84c23d2e6ba7398befb1469c03f82ed8f20f093b2cd",
+    "s5_1": "4affc7340d4293fb054eb9033f3eb57edff81deaebaa3d7bd365099040e41ef6",
+    "s5_2": "4cf31384ae6f64f1ccba782dcfed8d844f280efd37b6d0a9736838bbbfd458ed",
+    "s5_3": "6d24888895a5fdd67d12934018dc7f1c425ff68b1fde73552258bbf34a00b6d4",
+    "tune_i": "6b910fce04d548dd8a17d4bf515ab4a6c819b2682dbbe0ba4e98a8b82922eb07",
+    "tune_ii": "7434a25206ccf154df706d82981c92aa06c023134a74e3f2778cae7a7c1a8735",
+    "tune_iii": "32131a636cbd34a22b7c87c9f553c8aa838abbf812f66a15d79e0a4f364d060a",
 }
 
 
 @pytest.mark.parametrize("sid", SETTING_IDS)
 def test_overrides_are_read_or_refused(sid):
-    n = 50 if sid.startswith("tune") else 12
-    base = generate(SettingSpec(id=sid, n=n, p=3, seed=1))
-    for key in OVERRIDE_KEYS[sid]:  # each key is accepted and changes the sample
-        other = generate(SettingSpec(id=sid, n=n, p=3, seed=1, overrides={key: 0.7}))
-        assert not np.array_equal(other.y, base.y), key
-    # with every key the recipe reads, the error names the misspelled one alone
-    every = dict.fromkeys(OVERRIDE_KEYS[sid], 0.7)
-    with pytest.raises(ValueError, match="named 'noise_sdd'$"):
-        generate(SettingSpec(id=sid, n=n, p=3, seed=1, overrides=dict(every, noise_sdd=0.7)))
-    if sid.startswith("tune"):  # b stands in for the noise level of an untabulated n
-        generate(SettingSpec(id=sid, n=73, p=3, seed=1, overrides={"b": 0.7}))
+    # a recipe's noise level is a constant: SettingSpec refuses an override,
+    # so no knob can pass unread, and every sample is the one the recipe drew
+    # when its noise level was an overridable default
+    with pytest.raises(TypeError, match="overrides"):
+        SettingSpec(id=sid, n=50, p=3, seed=1, overrides={"noise_sd": 0.7})
+    digest = hashlib.sha256()
+    for n, p in ((50, 3), (100, 20), (150, 100)):
+        for seed in (0, 7):
+            with np.errstate(over="ignore"):  # s2_3 overflows exp (ROADMAP item 10)
+                sample = generate(SettingSpec(id=sid, n=n, p=p, seed=seed))
+            digest.update(sample.x.tobytes())
+            digest.update(sample.y.tobytes())
+    assert digest.hexdigest() == GENERATE_DIGESTS[sid]
 
 
 class TestGenerate:
@@ -100,10 +122,6 @@ class TestGenerate:
     def test_motivating_noiseless_is_exact_log_abs(self):
         sample = generate(SettingSpec(id="motivating", n=30, p=8, seed=5))
         assert np.array_equal(sample.y, np.log(np.abs(sample.x)))
-
-    def test_motivating_noise_override(self):
-        noisy = generate(SettingSpec(id="motivating", n=30, p=8, seed=5, overrides={"b": 1.0}))
-        assert not np.array_equal(noisy.y, np.log(np.abs(noisy.x)))
 
     def test_reproducible_and_seed_sensitive(self):
         a = generate(SettingSpec(id="s2_2", n=25, p=7, seed=9))
@@ -120,28 +138,33 @@ class TestGenerate:
         assert abs(mean) < 3 * se
 
     def test_s3_concatenates_two_regimes(self):
-        spec = SettingSpec(id="s3_1", n=7, p=5, seed=2, overrides={"noise_sd": 0.0})
-        sample = generate(spec)
+        # redraw the recipe's stream: x, then the noise, 1.2 N(0, 1)
+        sample = generate(SettingSpec(id="s3_1", n=7, p=5, seed=2))
+        rng = np.random.Generator(np.random.PCG64(2))
+        x = rng.standard_normal((7, 5))
+        eps = 1.2 * rng.standard_normal((7, 5))
+        assert np.array_equal(sample.x, x)
         m = (7 + 1) // 2
-        assert np.allclose(sample.y[:m], np.log(np.abs(sample.x[:m])))
-        assert np.allclose(sample.y[m:], np.exp(0.6 * sample.x[m:]))
+        assert np.allclose(sample.y[:m] - eps[:m], np.log(np.abs(x[:m])))
+        assert np.allclose(sample.y[m:] - eps[m:], np.exp(0.6 * x[m:]))
 
     def test_s4_noise_is_shared_within_rows(self):
-        base = generate(SettingSpec(id="s4_1", n=10, p=6, seed=4, overrides={"noise_sd": 0.0}))
-        noisy = generate(SettingSpec(id="s4_1", n=10, p=6, seed=4))
-        diff = noisy.x - base.x
-        assert np.allclose(diff, diff[:, :1])  # constant across each row
-        assert np.any(diff[:, 0] != 0)
-
-    def test_misspelled_override_rejected_before_any_test(self, monkeypatch):
-        spec = SettingSpec(id="s1_1", n=10, p=3, seed=1, overrides={"noise_sdd": 0.0})
-        with pytest.raises(ValueError, match="noise_sdd"):
-            generate(spec)
-        tests = []
-        monkeypatch.setattr(simulate, "git_test", lambda *a, **kw: tests.append(a))
-        with pytest.raises(ValueError, match="noise_sdd"):
-            estimate_power(spec, reps=2)
-        assert tests == []
+        # redraw the recipe's stream: the noise, 8 N(0, 1) per row for x and
+        # then for y, comes first, then L and one theta per row
+        n, p = 10, 6
+        sample = generate(SettingSpec(id="s4_1", n=n, p=p, seed=4))
+        rng = np.random.Generator(np.random.PCG64(4))
+        noise_x = 8.0 * rng.standard_normal(n)
+        noise_y = 8.0 * rng.standard_normal(n)
+        L = rng.standard_normal((n, p))
+        thetas = [rng.standard_normal((p, p)) for _ in range(n)]
+        base_x = np.array([L[i] @ np.sin(thetas[i]) for i in range(n)])
+        base_y = np.array([L[i] @ np.cos(thetas[i]) for i in range(n)])
+        for got, base, noise in ((sample.x, base_x, noise_x), (sample.y, base_y, noise_y)):
+            diff = got - base
+            assert np.allclose(diff, diff[:, :1])  # constant across each row
+            assert np.allclose(diff[:, 0], noise)
+            assert np.any(diff[:, 0] != 0)
 
 
 class TestVariatePrimitives:
@@ -240,16 +263,39 @@ class TestKSweep:
 
 
 class TestComponentPower:
+    """RG1..RG4 rejection rates, counted by estimate_power in the same
+    replications as the combined test."""
+
     def test_returns_all_series(self):
         spec = SettingSpec(id="s5_1", n=20, p=4, seed=5)
-        table = component_power(spec, reps=4)
-        assert set(table) == {"RG1", "RG2", "RG3", "RG4", "GIT"}
-        assert all(0.0 <= v <= 1.0 for v in table.values())
+        est = estimate_power(spec, reps=4)
+        assert list(est.components) == ["RG1", "RG2", "RG3", "RG4"]
+        assert all(0.0 <= v <= 1.0 for v in est.components.values())
+
+    @pytest.mark.parametrize("method", ["analytic", "permutation"])
+    def test_one_test_per_replication(self, method, monkeypatch):
+        # each replication calls git_test once, and its components and (for
+        # the analytic method) p-value give the counts
+        spec = SettingSpec(id="s5_1", n=16, p=3, seed=5)
+        results = []
+
+        def recorded(*args, _real=simulate.git_test, **kwargs):
+            results.append(_real(*args, **kwargs))
+            return results[-1]
+
+        monkeypatch.setattr(simulate, "git_test", recorded)
+        est = estimate_power(spec, method=method, reps=6, level=0.5, n_perm=19)
+        assert len(results) == 6
+        for name, rate in est.components.items():
+            hits = sum(c.p < 0.5 for r in results for c in r.components if c.name == name)
+            assert rate == hits / 6, name
+        if method == "analytic":
+            assert est.rejections == sum(r.p_analytic < 0.5 for r in results)
 
     @pytest.mark.parametrize("level", [0.0, 1.5])
     def test_rejects_level_outside_unit_interval(self, level):
         with pytest.raises(ValueError, match="level"):
-            component_power(SettingSpec(id="s5_1", n=10, p=2, seed=0), reps=1, level=level)
+            estimate_power(SettingSpec(id="s5_1", n=10, p=2, seed=0), reps=1, level=level)
 
 
 @pytest.mark.slow
