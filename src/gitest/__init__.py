@@ -19,13 +19,7 @@ from .inference import GitResult, git_test, permutation_test, run_test
 from .matrixcore import ScoreMatrix
 from .moments import NullMoments, QuadrupleInputs, diagnostics, null_moments
 from .scores import ScoreConfig, build_scores
-from .simulate import (
-    PowerEstimate,
-    SettingSpec,
-    estimate_power,
-    generate,
-    k_sweep,
-)
+from .simulate import PowerEstimate, SettingSpec, estimate_power, generate
 
 __version__ = "0.1.0"
 
@@ -39,6 +33,6 @@ __all__ = [
     "ScoreConfig", "build_scores",
     "QuadrupleInputs", "NullMoments", "null_moments", "diagnostics",
     "GitResult", "git_test", "permutation_test", "run_test",
-    "SettingSpec", "PowerEstimate", "generate", "estimate_power", "k_sweep",
+    "SettingSpec", "PowerEstimate", "generate", "estimate_power",
     "GitestError", "StructuralError", "DegenerateDataError",
 ]

@@ -103,6 +103,15 @@ def _parse_k(k: str) -> int | str:
         raise UsageError(f"--k must be an integer or 'auto', got {k!r}") from None
 
 
+def alphas(text: str) -> list[float]:
+    """``--sweep-alphas``: comma-separated exponents, each in (0, 1)."""
+    values = [float(a) for a in text.split(",")]  # a ValueError: "invalid alphas value"
+    for a in values:
+        if not 0 < a < 1:  # also false for nan
+            raise argparse.ArgumentTypeError(f"alpha must lie in (0, 1), got {a:g}")
+    return values
+
+
 def _score_config(args) -> ScoreConfig:
     return ScoreConfig(scheme=args.scheme, graph_family=args.graph, k=_parse_k(args.k),
                        lam=args.lam)
@@ -205,27 +214,24 @@ def cmd_simulate(args) -> int:
              for setting in args.setting
              for n in args.n or [sim.default_dimensions(setting)[0]]
              for p in args.p or [sim.default_dimensions(setting)[1]]]
-    reps, level = args.reps, args.level
+    cells = [(spec, ScoreConfig(), "") for spec in specs]
+    # one cell per alpha, at k = floor(n^alpha): n >= 4 and 0 < alpha < 1
+    # put it in [1, n - 1]
     if args.sweep_alphas:
-        alphas = [float(a) for a in args.sweep_alphas.split(",")]
-        rows = [sim.tidy_row(spec, reps, level, args.method, "GIT", row["power"],
-                             f"alpha={row['alpha']:g}")
-                for spec in specs
-                for row in sim.k_sweep(spec, alphas, reps=reps, level=level,
-                                       method=args.method)]
-    else:
-        estimates = [sim.estimate_power(spec, method=args.method, reps=reps, level=level)
-                     for spec in specs]
-        if not (args.components or args.plot_data):
-            if args.format == "json":
-                print(json.dumps(sim.power_json(estimates, timing=args.timing), indent=2))
-            else:
-                sys.stdout.write(sim.power_csv(estimates, timing=args.timing))
-            return EXIT_OK
-        rows = [sim.tidy_row(e.setting, reps, level, e.method, name, power)
-                for e in estimates
-                for name, power in ({**e.components, "GIT": e.power} if args.components
-                                    else {"GIT": e.power}).items()]
+        cells = [(spec, ScoreConfig(k=int(spec.n ** a)), f"alpha={a:g}")
+                 for spec in specs for a in args.sweep_alphas]
+    estimates = [sim.estimate_power(spec, cfg=cfg, method=args.method, reps=args.reps,
+                                    level=args.level) for spec, cfg, _ in cells]
+    if not (args.sweep_alphas or args.components or args.plot_data):
+        if args.format == "json":
+            print(json.dumps(sim.power_json(estimates, timing=args.timing), indent=2))
+        else:
+            sys.stdout.write(sim.power_csv(estimates, timing=args.timing))
+        return EXIT_OK
+    rows = [sim.tidy_row(e, name, power, param)
+            for e, (_, _, param) in zip(estimates, cells)
+            for name, power in ({**e.components, "GIT": e.power} if args.components
+                                else {"GIT": e.power}).items()]
     if args.format == "json":
         print(json.dumps(rows, indent=2))
     else:
@@ -279,8 +285,9 @@ def build_parser() -> _Parser:
     p_sim.add_argument("--method", choices=("analytic", "permutation"), default="analytic")
     p_sim.add_argument("--seed", type=int, default=0)
     p_sim.add_argument("--format", choices=("json", "csv"), default="csv")
-    p_sim.add_argument("--sweep-alphas", default="",
-                       help="comma-separated exponents; power at k=floor(n^alpha)")
+    p_sim.add_argument("--sweep-alphas", type=alphas, default=[],
+                       help="comma-separated exponents in (0, 1); one cell per exponent, "
+                       "at k=floor(n^alpha)")
     p_sim.add_argument("--components", action="store_true",
                        help="power of RG1-RG4 and the combined test")
     p_sim.add_argument("--plot-data", action="store_true",

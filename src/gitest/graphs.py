@@ -348,12 +348,13 @@ def robust_graph(D, k: int, lam: float, direction: str = NEAREST,
 
     The candidates come from a table of each node's first min(8k + 1, n) in
     (rank, index) order (``neighbor_rank_rows`` at that width); the first
-    prefix that would read past it widens the table to full rows, once, and
-    rebuilds every node's views at that node's own m.  A node's current set
-    is held as positions in its table row, in the order it was chosen, with
-    a 0/1 membership row over those positions, so a visit prices its
-    candidates' in-degrees excluding itself without touching the shared
-    in-degrees unless the set changes.
+    prefix that would read past it widens the table to full rows, once: it
+    frees the narrow table, builds the full one, sets each node's membership
+    from its current set and rebuilds every node's views at that node's own
+    m.  A node's current set is held as positions in its table row, in the
+    order it was chosen, with a 0/1 membership row over those positions, so
+    a visit prices its candidates' in-degrees excluding itself without
+    touching the shared in-degrees unless the set changes.
 
     A node whose selection differs from its set moves when the selection's
     total cost is below its set's by more than a relative 1e-9.  When the
@@ -438,10 +439,15 @@ def robust_graph(D, k: int, lam: float, direction: str = NEAREST,
                 break
             m = min(2 * m, n - 1)
             if m >= width:  # the bound needs rank m: widen to full rows
+                # drop every view of the narrow tables, so they are freed
+                # before the full ones are built
+                ms = [p[0] for p in prefixes]
+                prefixes = pool = r = mem = order = ranks = member = None
                 order, ranks = _rank_rows(D, direction, n)
-                member = np.hstack([member, np.zeros((n, n - width), dtype=np.intp)])
+                member = np.zeros((n, n), dtype=np.intp)
+                member[np.arange(n).repeat(k), np.concatenate(pos)] = 1
                 width = n
-                prefixes = [prefix(j, p[0]) for j, p in enumerate(prefixes)]
+                prefixes = [prefix(j, mj) for j, mj in enumerate(ms)]
             m, pool, r, mem, bound = prefixes[i] = prefix(i, m)
         # a node choosing the same set again keeps it: both totals would sum
         # the same k positive costs, in two orders, so they differ by at most

@@ -12,7 +12,6 @@ N(0,1) / sqrt(chisq_10 / 10); log-normals are exp(mu + sd * N(0,1)).
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass, field, replace
 from typing import Callable, NamedTuple
@@ -296,6 +295,8 @@ def estimate_power(spec: SettingSpec, cfg: ScoreConfig = ScoreConfig(),
         raise ValueError("level must lie in (0, 1]")
     if method not in ("analytic", "permutation"):
         raise ValueError(f"unknown method {method!r}")
+    if method == "permutation" and n_perm < 1:
+        raise ValueError("n_perm must be positive")
     start = time.perf_counter()
     rejections = 0
     counts = dict.fromkeys(COMPONENT_NAMES, 0)
@@ -315,23 +316,6 @@ def estimate_power(spec: SettingSpec, cfg: ScoreConfig = ScoreConfig(),
         power=rejections / reps, runtime_seconds=runtime, method=method,
         components={name: c / reps for name, c in counts.items()},
     )
-
-
-def k_sweep(spec: SettingSpec, alphas, reps: int = 200, cfg: ScoreConfig = ScoreConfig(),
-            level: float = 0.05, method: str = "analytic") -> list[dict]:
-    """Power of the test as the neighbor count varies as floor(n^alpha)."""
-    if spec.id not in _TUNE_PARAMS:
-        raise ValueError(f"k_sweep expects a tune_* setting, got {spec.id!r}")
-    rows = []
-    for alpha in alphas:  # every alpha is checked before the first run
-        if not 0 < alpha < 1:
-            raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
-        k = min(max(int(math.floor(spec.n ** alpha)), 1), spec.n - 1)
-        rows.append({"alpha": alpha, "k": k})
-    for row in rows:
-        row["power"] = estimate_power(spec, replace(cfg, k=row["k"]), method=method,
-                                      reps=reps, level=level).power
-    return rows
 
 
 # -- result emission ---------------------------------------------------------
@@ -380,8 +364,9 @@ def tidy_csv(rows) -> str:
     return "\n".join(lines) + "\n"
 
 
-def tidy_row(spec: SettingSpec, reps: int, level: float, method: str, series: str,
-             power: float, param: str = "") -> dict:
-    """One long-format row: the power of ``series`` at ``param`` in one cell."""
-    return {"setting": spec.id, "n": spec.n, "p": spec.p, "reps": reps, "level": level,
-            "method": method, "series": series, "param": param, "power": power}
+def tidy_row(e: PowerEstimate, series: str, power: float, param: str) -> dict:
+    """One long-format row: the power of ``series`` at ``param`` in the cell
+    that ``e`` estimates."""
+    return {"setting": e.setting.id, "n": e.setting.n, "p": e.setting.p,
+            "reps": e.replications, "level": e.level, "method": e.method,
+            "series": series, "param": param, "power": power}

@@ -120,3 +120,16 @@ def test_monte_carlo_checks_hold_at_seeds_without_references(seed, workloads):
         _, data = next(simulate._replications(spec, 1))
         res = inference.git_test(inference.quadruple_from_samples(data.x, data.y, cfg), cfg)
         assert workloads._result_invariants(res, f"{sid} seed {seed}") == []
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("seed", range(2, 5))
+def test_monte_carlo_checks_hold_over_every_replication(seed, workloads):
+    # the benchmark's timed run checks every replication of its first round,
+    # and the probe on the first sample, at whatever seed it is given
+    wl = workloads.WORKLOADS["monte_carlo"]
+    inp = wl.make(seed)
+    out = wl.op(inp)
+    assert len(out[1]) == workloads.MC_REPS * len(workloads.MC_RUNS)  # one result per replication
+    assert workloads.output_invariants(wl, out) == []
+    assert workloads.probe_invariants(wl, inp, seed) == []

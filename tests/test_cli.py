@@ -1,4 +1,7 @@
 import json
+import pathlib
+import re
+import shlex
 import warnings
 
 import numpy as np
@@ -421,3 +424,27 @@ class TestCliSizeSmoke:
             out = json.loads(capsys.readouterr().out)
             rejections += out["p_analytic"] < 0.05
         assert rejections <= 8
+
+
+def readme_commands() -> list[list[str]]:
+    """The argv of every ``gitest ...`` line in README's code blocks, with
+    ``\\`` continuations joined and ``#`` comments dropped."""
+    readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+    blocks = re.findall(r"^```[^\n]*\n(.*?)^```", readme.read_text(), re.M | re.S)
+    lines = "\n".join(blocks).replace("\\\n", " ").splitlines()
+    return [shlex.split(line, comments=True) for line in lines
+            if line.lstrip().startswith("gitest ")]
+
+
+README_COMMANDS = readme_commands()
+
+
+def test_readme_shows_every_subcommand():
+    assert {argv[1] for argv in README_COMMANDS} == {"test", "simulate", "diagnose", "graph"}
+
+
+@pytest.mark.parametrize("argv", README_COMMANDS, ids=" ".join)
+def test_readme_command_parses(argv):
+    # parsed, not run: a flag the parser does not take, or a value it refuses
+    # (a --sweep-alphas exponent outside (0, 1) included), exits 64
+    assert cli.build_parser().parse_args(argv[1:]).subcommand == argv[1]

@@ -822,14 +822,19 @@ def guard_sample():
     (lambda Z, D: neighbor_rank_rows(D, FARTHEST, 8 * GUARD_K + 1), 0.75),
     (lambda Z, D: robust_graph(D, GUARD_K, 0.3, max_sweeps=1), 1.0),
     (lambda Z, D: check_distance_matrix(D), 0.05),
+    (lambda Z, D: robust_graph(D, GUARD_K, 1e300, max_sweeps=1), 4.2),
 ], ids=["pairwise_distances", "knn_graph", "neighbor_rank_rows", "robust_graph",
-        "check_distance_matrix"])
+        "check_distance_matrix", "robust_graph_widened"])
 def test_graph_set_up_builds_no_second_square_array(build, bound, guard_sample):
     # the set-up works in blocks of 128 rows, so D is its only n x n array.
     # tracemalloc peaks in units of 8n^2 bytes with numpy 2.4: 1.12 (D and
     # a block of distances), 0.18, 0.52 (the (n, 8k + 1) table), 0.77 and
     # 0.011; n x n neighbor keys or a condensed distance vector beside D, or
-    # an n x n bool temporary (0.125) in the check, cross the bounds
+    # an n x n bool temporary (0.125) in the check, cross the bounds.  A hub
+    # penalty of 1e300 widens the candidate table to full rows: D, the full
+    # ranks, candidates and membership peak at 3.92; keeping the narrow table
+    # until the full one is built, or copying the membership rows into it,
+    # gives 4.46
     tracemalloc.start()
     try:
         build(*guard_sample)

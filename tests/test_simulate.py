@@ -4,15 +4,15 @@ import math
 import numpy as np
 import pytest
 
-from gitest import simulate
+from gitest import cli, simulate
 from gitest.rng import derive_seed, splitmix64_mix
+from gitest.scores import ScoreConfig
 from gitest.simulate import (
     SETTING_IDS,
     SettingSpec,
     default_dimensions,
     estimate_power,
     generate,
-    k_sweep,
     lognormal,
     power_csv,
     power_json,
@@ -222,44 +222,87 @@ class TestEstimatePower:
         with pytest.raises(ValueError):
             estimate_power(spec, reps=5, level=0.0)
 
+    def test_zero_n_perm_rejected_before_sampling(self, monkeypatch):
+        draws = []
+        monkeypatch.setattr(simulate, "generate", lambda spec: draws.append(spec))
+        with pytest.raises(ValueError, match="n_perm must be positive"):
+            estimate_power(SettingSpec(id="s5_1", n=12, p=3, seed=1), method="permutation",
+                           reps=2, n_perm=0)
+        assert draws == []
+
     def test_runs_on_one_thread(self):
         with pytest.raises(TypeError, match="threads"):
             estimate_power(SettingSpec(id="s5_1", n=10, p=2), reps=1, threads=2)
 
 
 class TestKSweep:
-    def test_alpha_maps_to_k(self):
-        spec = SettingSpec(id="tune_i", n=50, p=4, seed=3)
-        rows = k_sweep(spec, alphas=[0.05, 0.5], reps=2)
-        assert rows[0]["k"] == 1  # floor(50^0.05) = 1
-        assert rows[1]["k"] == 7  # floor(sqrt(50)) = 7
-        for row in rows:
-            assert 0.0 <= row["power"] <= 1.0
+    """``gitest simulate --sweep-alphas``: each grid cell becomes one cell per
+    alpha, at k = floor(n^alpha), estimated by ``estimate_power``."""
 
-    def test_rejects_non_tuning_setting(self):
-        with pytest.raises(ValueError):
-            k_sweep(SettingSpec(id="s5_1", n=20, p=4), alphas=[0.5], reps=1)
+    @staticmethod
+    def run(argv, monkeypatch):
+        """Exit code of ``gitest simulate --reps 2 argv``, and the
+        ``(spec, cfg)`` of every ``estimate_power`` call and the spec of
+        every ``generate`` call it made."""
+        runs, draws = [], []
 
-    def test_rejects_bad_alpha(self):
-        spec = SettingSpec(id="tune_i", n=50, p=4)
-        with pytest.raises(ValueError):
-            k_sweep(spec, alphas=[1.5], reps=1)
+        def estimate(spec, cfg, _real=simulate.estimate_power, **kwargs):
+            runs.append((spec, cfg))
+            return _real(spec, cfg, **kwargs)
 
-    def test_checks_every_alpha_before_running(self, monkeypatch):
-        runs = []
-        real = simulate.estimate_power
-        monkeypatch.setattr(simulate, "estimate_power",
-                            lambda *a, **kw: runs.append(a) or real(*a, **kw))
-        with pytest.raises(ValueError, match="1.5"):
-            k_sweep(SettingSpec(id="tune_i", n=50, p=3, seed=1), [0.5, 1.5], reps=2)
-        assert runs == []
+        def draw(spec, _real=simulate.generate):
+            draws.append(spec)
+            return _real(spec)
+
+        monkeypatch.setattr(simulate, "estimate_power", estimate)
+        monkeypatch.setattr(simulate, "generate", draw)
+        try:
+            code = cli.main(["simulate", "--reps", "2"] + argv)
+        except SystemExit as exc:  # argparse rejects a bad flag value itself
+            code = exc.code
+        return code, runs, draws
+
+    def test_alpha_maps_to_k(self, monkeypatch, capsys):
+        code, runs, _ = self.run(["--setting", "tune_i", "--n", "50", "--p", "4", "--seed", "3",
+                                  "--sweep-alphas", "0.05,0.5,0.99"], monkeypatch)
+        assert code == 0
+        # floor(50^0.05) = 1, floor(sqrt(50)) = 7, floor(50^0.99) = 48
+        assert [cfg for _, cfg in runs] == [ScoreConfig(k=1), ScoreConfig(k=7),
+                                            ScoreConfig(k=48)]
+        rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
+        assert [row[7] for row in rows] == ["alpha=0.05", "alpha=0.5", "alpha=0.99"]
+        # each row is the plain estimate at its k
+        for row, (spec, cfg) in zip(rows, runs):
+            assert float(row[8]) == estimate_power(spec, cfg, reps=2).power
+
+    def test_rejects_non_tuning_setting(self, monkeypatch, capsys):
+        code, runs, draws = self.run(["--setting", "s5_1", "--n", "20", "--p", "4",
+                                      "--sweep-alphas", "0.5"], monkeypatch)
+        assert (code, runs, draws) == (64, [], [])
+        assert "needs tune_* settings" in capsys.readouterr().err
+
+    def test_rejects_bad_alpha(self, monkeypatch, capsys):
+        for alphas in ("1.5", "0", "1", "-0.2", "nan", "0.5,abc"):
+            code, runs, draws = self.run(["--setting", "tune_i", "--n", "50", "--p", "4",
+                                          "--sweep-alphas", alphas], monkeypatch)
+            assert (code, runs, draws) == (64, [], []), alphas
+            out, err = capsys.readouterr()
+            assert out == "" and err.startswith("gitest: error: argument --sweep-alphas: ")
+
+    def test_checks_every_alpha_before_running(self, monkeypatch, capsys):
+        code, runs, draws = self.run(["--setting", "tune_i", "--n", "50", "--p", "3",
+                                      "--sweep-alphas", "0.5,1.5"], monkeypatch)
+        assert (code, runs, draws) == (64, [], [])
+        out, err = capsys.readouterr()
+        assert out == "" and "alpha must lie in (0, 1), got 1.5" in err
 
     @pytest.mark.slow
     def test_mid_range_alpha_dominates_tiny_k(self):
-        # k near sqrt(n) should not lose to k=1 by more than noise
+        # k near sqrt(n) (alpha = 0.5) should not lose to k=1 (alpha = 0.05)
+        # by more than noise
         spec = SettingSpec(id="tune_i", n=50, p=100, seed=17)
-        rows = k_sweep(spec, alphas=[0.05, 0.5], reps=50)
-        assert rows[1]["power"] >= rows[0]["power"] - 0.1
+        tiny, mid = (estimate_power(spec, ScoreConfig(k=k), reps=50).power for k in (1, 7))
+        assert mid >= tiny - 0.1
 
 
 class TestComponentPower:
@@ -361,7 +404,6 @@ class TestEmission:
     def test_tidy_csv(self):
         spec = SettingSpec(id="s5_1", n=16, p=3, seed=6)
         est = estimate_power(spec, reps=3)
-        text = tidy_csv([tidy_row(est.setting, est.replications, est.level, est.method, "GIT",
-                                  est.power)])
+        text = tidy_csv([tidy_row(est, "GIT", est.power, "")])
         assert text.startswith("setting,n,p,reps,level,method,series,param,power\n")
         assert ",GIT,," in text
