@@ -15,7 +15,7 @@ import logging
 
 from .errors import DegenerateDataError, GitestError, StructuralError
 from .graphs import Digraph, UndirectedGraph, kmst, knn_graph, pairwise_distances, robust_graph
-from .inference import GitResult, git_test, permutation_test, run_test
+from .inference import GitResult, git_test, run_test
 from .matrixcore import ScoreMatrix
 from .moments import NullMoments, QuadrupleInputs, diagnostics, null_moments
 from .scores import ScoreConfig, build_scores
@@ -32,7 +32,7 @@ __all__ = [
     "Digraph", "UndirectedGraph", "pairwise_distances", "knn_graph", "kmst", "robust_graph",
     "ScoreConfig", "build_scores",
     "QuadrupleInputs", "NullMoments", "null_moments", "diagnostics",
-    "GitResult", "git_test", "permutation_test", "run_test",
+    "GitResult", "git_test", "run_test",
     "SettingSpec", "PowerEstimate", "generate", "estimate_power",
     "GitestError", "StructuralError", "DegenerateDataError",
 ]

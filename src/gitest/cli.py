@@ -35,25 +35,13 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"gitest: error: {message} (see '{self.prog} --help')\n")
 
 
-class DataError(GitestError):
-    """Bad input files or untestable data; maps to exit code 2, as any GitestError."""
-
-
-class UsageError(ValueError):
-    """Inconsistent flags detected after parsing; maps to exit code 64.
-
-    Every other ValueError maps to 64 too: the library raises it only for
-    out-of-range parameters, and GitestError for bad data.
-    """
-
-
 def read_matrix_csv(path: str, header: bool = False, delimiter: str = ",") -> np.ndarray:
     """Parse a numeric CSV: rows are observations, columns features."""
     try:
         with open(path, encoding="utf-8-sig") as fh:
             lines = fh.read().splitlines()
     except OSError as exc:
-        raise DataError(f"cannot read {path}: {exc}") from exc
+        raise GitestError(f"cannot read {path}: {exc}") from exc
     if header:
         lines = lines[1:]
     rows = []
@@ -65,18 +53,18 @@ def read_matrix_csv(path: str, header: bool = False, delimiter: str = ",") -> np
         if width is None:
             width = len(cells)
         elif len(cells) != width:
-            raise DataError(f"{path}: row {lineno} has {len(cells)} cells, expected {width}")
+            raise GitestError(f"{path}: row {lineno} has {len(cells)} cells, expected {width}")
         row = []
         for col, cell in enumerate(cells, start=1):
             try:
                 row.append(float(cell))
             except ValueError:
-                raise DataError(
+                raise GitestError(
                     f"{path}: row {lineno}, column {col}: not numeric: {cell.strip()!r}"
                 ) from None
         rows.append(row)
     if not rows:
-        raise DataError(f"{path}: no data rows")
+        raise GitestError(f"{path}: no data rows")
     return np.asarray(rows, dtype=np.float64)
 
 
@@ -100,7 +88,7 @@ def _parse_k(k: str) -> int | str:
     try:
         return int(k)
     except ValueError:
-        raise UsageError(f"--k must be an integer or 'auto', got {k!r}") from None
+        raise ValueError(f"--k must be an integer or 'auto', got {k!r}") from None
 
 
 def alphas(text: str) -> list[float]:
@@ -120,16 +108,16 @@ def _score_config(args) -> ScoreConfig:
 def _threads(args) -> int:
     if args.threads is not None:
         if args.threads < 1:
-            raise UsageError(f"--threads must be at least 1, got {args.threads}")
+            raise ValueError(f"--threads must be at least 1, got {args.threads}")
         return args.threads
     env = os.environ.get("GITEST_THREADS", "")
     if env.strip():
         try:
             threads = int(env)
         except ValueError:
-            raise DataError(f"GITEST_THREADS is not an integer: {env!r}") from None
+            raise GitestError(f"GITEST_THREADS is not an integer: {env!r}") from None
         if threads < 1:
-            raise DataError(f"GITEST_THREADS must be at least 1, got {env!r}")
+            raise GitestError(f"GITEST_THREADS must be at least 1, got {env!r}")
         return threads
     return os.cpu_count() or 1
 
@@ -153,21 +141,18 @@ def _result_table(d: dict) -> str:
 
 
 def _result_csv(d: dict) -> str:
-    head = ["statistic", "df", "p_analytic", "p_permutation", "max_stat", "n", "k",
-            "lambda", "scheme"]
-    vals = [d[h] for h in head]
+    row = {h: d[h] for h in ("statistic", "df", "p_analytic", "p_permutation", "max_stat",
+                             "n", "k", "lambda", "scheme")}
     for comp in d["components"]:
-        head += [f"{comp['name']}_z", f"{comp['name']}_p"]
-        vals += [comp["z"], comp["p"]]
-    fmt = ["" if v is None else (f"{v:.10g}" if isinstance(v, float) else str(v)) for v in vals]
-    return ",".join(head) + "\n" + ",".join(fmt) + "\n"
+        row[f"{comp['name']}_z"], row[f"{comp['name']}_p"] = comp["z"], comp["p"]
+    return sim.to_csv([row], list(row))
 
 
 def _load_pair(args) -> tuple[np.ndarray, np.ndarray]:
     x = read_matrix_csv(args.x, header=args.header, delimiter=args.delimiter)
     y = read_matrix_csv(args.y, header=args.header, delimiter=args.delimiter)
     if x.shape[0] != y.shape[0]:
-        raise DataError(
+        raise GitestError(
             f"paired samples must align: {args.x} has {x.shape[0]} rows, "
             f"{args.y} has {y.shape[0]} rows"
         )
@@ -177,10 +162,10 @@ def _load_pair(args) -> tuple[np.ndarray, np.ndarray]:
 def cmd_test(args) -> int:
     x, y = _load_pair(args)
     if args.n_perm is not None and args.method == "analytic":
-        raise UsageError("--n-perm requires --method permutation or both")
+        raise ValueError("--n-perm requires --method permutation or both")
     n_perm = 500 if args.n_perm is None else args.n_perm
     if n_perm < 1:
-        raise UsageError("--n-perm must be positive")
+        raise ValueError("--n-perm must be positive")
     result = run_test(x, y, _score_config(args), method=args.method,
                       n_perm=n_perm, seed=args.seed, threads=_threads(args))
     d = result.to_json_dict()
@@ -194,21 +179,16 @@ def cmd_test(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    if args.reps < 1:
-        raise UsageError("--reps must be positive")
-    if args.sweep_alphas and args.components:
-        raise UsageError("--sweep-alphas and --components are separate reports; pick one")
     if args.components and args.method == "permutation":
-        raise UsageError("--components reports analytic p-values only; "
+        raise ValueError("--components reports analytic p-values only; "
                          "drop --method permutation")
-    if args.plot_data and args.format == "json":
-        raise UsageError("--plot-data writes CSV; drop --format json")
-    if args.timing and (args.sweep_alphas or args.components or args.plot_data):
-        raise UsageError("--timing applies to the power report only; the long format "
+    long_format = args.sweep_alphas or args.components or args.plot_data
+    if args.timing and long_format:
+        raise ValueError("--timing applies to the power report only; the long format "
                          "has no runtime column")
     untuned = [s for s in args.setting if not s.startswith("tune_")]
     if args.sweep_alphas and untuned:
-        raise UsageError(f"--sweep-alphas needs tune_* settings, got {', '.join(untuned)}")
+        raise ValueError(f"--sweep-alphas needs tune_* settings, got {', '.join(untuned)}")
     # every cell is built before the first replication, so a bad one fails first
     specs = [sim.SettingSpec(setting, n, p, seed=args.seed)
              for setting in args.setting
@@ -222,20 +202,19 @@ def cmd_simulate(args) -> int:
                  for spec in specs for a in args.sweep_alphas]
     estimates = [sim.estimate_power(spec, cfg=cfg, method=args.method, reps=args.reps,
                                     level=args.level) for spec, cfg, _ in cells]
-    if not (args.sweep_alphas or args.components or args.plot_data):
-        if args.format == "json":
-            print(json.dumps(sim.power_json(estimates, timing=args.timing), indent=2))
-        else:
-            sys.stdout.write(sim.power_csv(estimates, timing=args.timing))
-        return EXIT_OK
-    rows = [sim.tidy_row(e, name, power, param)
-            for e, (_, _, param) in zip(estimates, cells)
-            for name, power in ({**e.components, "GIT": e.power} if args.components
-                                else {"GIT": e.power}).items()]
+    if long_format:
+        columns = sim.TIDY_COLUMNS
+        rows = [sim.tidy_row(e, name, power, param)
+                for e, (_, _, param) in zip(estimates, cells)
+                for name, power in ({**e.components, "GIT": e.power} if args.components
+                                    else {"GIT": e.power}).items()]
+    else:
+        columns = sim.POWER_COLUMNS
+        rows = sim.power_json(estimates, timing=args.timing)
     if args.format == "json":
         print(json.dumps(rows, indent=2))
     else:
-        sys.stdout.write(sim.tidy_csv(rows))
+        sys.stdout.write(sim.to_csv(rows, columns))
     return EXIT_OK
 
 
@@ -291,7 +270,7 @@ def build_parser() -> _Parser:
     p_sim.add_argument("--components", action="store_true",
                        help="power of RG1-RG4 and the combined test")
     p_sim.add_argument("--plot-data", action="store_true",
-                       help="emit tidy long-format CSV")
+                       help="long format: one (series, param, power) row per cell")
     p_sim.add_argument("--timing", action="store_true",
                        help="include wall-clock runtime (breaks byte determinism)")
     p_sim.set_defaults(func=cmd_simulate)

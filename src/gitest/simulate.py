@@ -320,48 +320,36 @@ def estimate_power(spec: SettingSpec, cfg: ScoreConfig = ScoreConfig(),
 
 # -- result emission ---------------------------------------------------------
 
-POWER_CSV_HEADER = "setting,n,p,reps,level,method,power,runtime_seconds"
-TIDY_CSV_HEADER = "setting,n,p,reps,level,method,series,param,power"
+POWER_COLUMNS = ("setting", "n", "p", "reps", "level", "method", "power", "runtime_seconds")
+TIDY_COLUMNS = ("setting", "n", "p", "reps", "level", "method", "series", "param", "power")
+#: a float column's format where it is not ``.10g``
+_CSV_FORMAT = {"level": "g", "runtime_seconds": ".3f"}
+
+
+def to_csv(rows, columns) -> str:
+    """CSV of ``columns`` of each row dict, after a header line: ``None``
+    prints empty, a float with ``.10g`` (or its ``_CSV_FORMAT`` entry) and
+    anything else with ``str``."""
+    def cell(col, v):
+        if v is None:
+            return ""
+        return format(v, _CSV_FORMAT.get(col, ".10g")) if isinstance(v, float) else str(v)
+    lines = [",".join(columns)]
+    lines += [",".join(cell(col, row[col]) for col in columns) for row in rows]
+    return "\n".join(lines) + "\n"
 
 
 def power_csv(estimates, timing: bool = False) -> str:
     """Fixed-schema CSV; wall-clock column left empty unless ``timing``."""
-    lines = [POWER_CSV_HEADER]
-    for e in estimates:
-        rt = f"{e.runtime_seconds:.3f}" if timing else ""
-        lines.append(
-            f"{e.setting.id},{e.setting.n},{e.setting.p},{e.replications},"
-            f"{e.level:g},{e.method},{e.power:.10g},{rt}"
-        )
-    return "\n".join(lines) + "\n"
+    return to_csv(power_json(estimates, timing), POWER_COLUMNS)
 
 
 def power_json(estimates, timing: bool = False) -> list[dict]:
-    out = []
-    for e in estimates:
-        out.append({
-            "setting": e.setting.id,
-            "n": e.setting.n,
-            "p": e.setting.p,
-            "reps": e.replications,
-            "level": e.level,
-            "method": e.method,
-            "rejections": e.rejections,
-            "power": e.power,
-            "runtime_seconds": e.runtime_seconds if timing else None,
-        })
-    return out
-
-
-def tidy_csv(rows) -> str:
-    """Long-format CSV for plotting: one (series, param, power) per line."""
-    lines = [TIDY_CSV_HEADER]
-    for r in rows:
-        lines.append(
-            f"{r['setting']},{r['n']},{r['p']},{r['reps']},{r['level']:g},"
-            f"{r['method']},{r['series']},{r['param']},{r['power']:.10g}"
-        )
-    return "\n".join(lines) + "\n"
+    """One row per estimate; ``runtime_seconds`` is None unless ``timing``."""
+    return [{"setting": e.setting.id, "n": e.setting.n, "p": e.setting.p,
+             "reps": e.replications, "level": e.level, "method": e.method,
+             "rejections": e.rejections, "power": e.power,
+             "runtime_seconds": e.runtime_seconds if timing else None} for e in estimates]
 
 
 def tidy_row(e: PowerEstimate, series: str, power: float, param: str) -> dict:

@@ -19,7 +19,7 @@ RUNNING = sorted(p for d in ("src/gitest", "scripts", "perfbench") for p in (ROO
 #: the entry points the README, the CLI and the scripts call, the types they
 #: take or return, and the error classes
 PUBLIC = {
-    "run_test", "git_test", "permutation_test", "build_scores",
+    "run_test", "git_test", "build_scores",
     "null_moments", "diagnostics",
     "pairwise_distances", "knn_graph", "kmst", "robust_graph",
     "generate", "estimate_power",

@@ -1,4 +1,5 @@
 import json
+import math
 import pathlib
 import re
 import shlex
@@ -6,6 +7,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from gitest import cli
 from gitest import simulate as sim
@@ -198,8 +201,13 @@ class TestCmdSimulate:
         assert cli.main(argv) == 0
         assert capsys.readouterr() == plain
 
-    def test_zero_reps_usage_error(self, capsys):
+    def test_zero_reps_usage_error(self, monkeypatch, capsys):
+        draws = []
+        monkeypatch.setattr(sim, "generate", lambda spec: draws.append(spec))
         assert cli.main(["simulate", "--setting", "s5_1", "--reps", "0"]) == 64
+        out, err = capsys.readouterr()
+        assert out == "" and draws == []
+        assert len(err.splitlines()) == 1 and "reps must be positive" in err
 
     def test_unknown_setting_lists_ids(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -239,6 +247,46 @@ class TestCmdSimulate:
         out = capsys.readouterr().out
         for name in ("RG1", "RG2", "RG3", "RG4", "GIT"):
             assert name in out
+
+    SWEEP = ["simulate", "--setting", "tune_i", "--n", "50", "--p", "3", "--seed", "1",
+             "--sweep-alphas", "0.3,0.6"]
+
+    def test_sweep_with_components_keeps_the_sweep_rows(self, capsys):
+        assert cli.main(self.SWEEP + ["--reps", "2"]) == 0
+        sweep = capsys.readouterr().out.splitlines()
+        assert cli.main(self.SWEEP + ["--reps", "2", "--components"]) == 0
+        combined = capsys.readouterr().out.splitlines()
+        assert combined[0] == sweep[0]
+        assert [line for line in combined[1:] if line.split(",")[6] == "GIT"] == sweep[1:]
+        assert [line.split(",")[6:8] for line in combined[1:]] == [
+            [name, f"alpha={a}"] for a in ("0.3", "0.6")
+            for name in ("RG1", "RG2", "RG3", "RG4", "GIT")]
+
+    def test_sweep_with_components_reports_each_cell_components(self, capsys):
+        # at this level the ten rates are not all equal, so a row that names
+        # the wrong series or cell shows
+        assert cli.main(self.SWEEP + ["--reps", "4", "--level", "1e-12", "--components",
+                                      "--format", "json"]) == 0
+        rows = json.loads(capsys.readouterr().out)
+        assert len({r["power"] for r in rows}) > 2
+        spec = sim.SettingSpec("tune_i", 50, 3, seed=1)
+        for a in (0.3, 0.6):
+            est = sim.estimate_power(spec, ScoreConfig(k=int(50 ** a)), reps=4, level=1e-12)
+            got = {r["series"]: r["power"] for r in rows if r["param"] == f"alpha={a}"}
+            assert got == {**est.components, "GIT": est.power}
+
+    def test_plot_data_json_is_the_csv_parsed(self, capsys):
+        argv = ["simulate", "--setting", "s5_1", "--n", "12", "--p", "2", "--reps", "2",
+                "--plot-data"]
+        assert cli.main(argv) == 0
+        header, *lines = capsys.readouterr().out.splitlines()
+        assert cli.main(argv + ["--format", "json"]) == 0
+        rows = json.loads(capsys.readouterr().out)
+        types = {"n": int, "p": int, "reps": int, "level": float, "power": float}
+        parsed = [{col: types.get(col, str)(v) for col, v in zip(header.split(","),
+                                                                 line.split(","))}
+                  for line in lines]
+        assert rows == parsed
 
     def test_grid_runs_setting_then_n_then_p(self, capsys):
         assert cli.main(["simulate", "--setting", "s5_2", "s5_1", "--n", "14", "12",
@@ -369,8 +417,7 @@ class TestCmdGraph:
      "--format", "table"],
     ["simulate", "--setting", "s5_1", "--n", "10", "--p", "2", "--reps", "1",
      "--components", "--method", "permutation"],
-    ["simulate", "--setting", "tune_i", "--n", "50", "--p", "5", "--reps", "1",
-     "--sweep-alphas", "0.5", "--components"],
+    ["simulate", "--setting", "s5_1", "--n", "10", "--p", "2", "--reps", "0"],
     ["test", "--lambda", "nan"],
     ["test", "--lambda", "inf"],
     ["graph", "--lambda", "nan"],
@@ -380,7 +427,7 @@ class TestCmdGraph:
     ["simulate", "--setting", "s5_1", "--n", "10", "--p", "2", "--reps", "1",
      "--components", "--level", "1.5"],
     ["simulate", "--setting", "s5_1", "--n", "12", "--p", "2", "--reps", "2",
-     "--plot-data", "--format", "json"],
+     "--plot-data", "--format", "json", "--timing"],
     ["simulate", "--setting", "s5_1", "--n", "10", "--p", "2", "--reps", "1",
      "--components", "--timing"],
     ["simulate", "--setting", "tune_i", "--n", "50", "--p", "5", "--reps", "1",
@@ -392,11 +439,13 @@ class TestCmdGraph:
     ["test", "--method", "both", "--threads", "0"],
     ["test", "--method", "both", "--threads", "-3"],
 ])
-def test_invalid_flag_value_is_usage_error(argv, tmp_path, rng, capsys):
+def test_invalid_flag_value_is_usage_error(argv, tmp_path, rng, capsys, monkeypatch):
     # samples of n=30 rows: --k 40 exceeds n - 1, and --k 20 exceeds the 15
     # edge-disjoint spanning trees a complete graph on 30 nodes can hold
     px = write_csv(tmp_path / "x.csv", rng.standard_normal((30, 3)))
     py = write_csv(tmp_path / "y.csv", rng.standard_normal((30, 3)))
+    draws = []
+    monkeypatch.setattr(sim, "generate", lambda spec: draws.append(spec))
     files = {"test": ["--x", px, "--y", py], "graph": ["--x", px], "simulate": []}
     try:
         code = cli.main(argv[:1] + files[argv[0]] + argv[1:])
@@ -404,9 +453,54 @@ def test_invalid_flag_value_is_usage_error(argv, tmp_path, rng, capsys):
         code = exc.code
     assert code == 64
     out, err = capsys.readouterr()
-    assert out == ""
+    assert out == "" and draws == []
     err = err.splitlines()
     assert len(err) == 1 and err[0].startswith("gitest: error: ")
+
+
+#: one family of each (similarity, dissimilarity) pair, with every scheme it takes
+SCHEME_GRAPHS = [(scheme, graph) for scheme in ("adjacency", "distance_weight", "kernel_weight")
+                 for graph in ("knn", "kmst", "robust_knn")]
+SCHEME_GRAPHS += [("graph_rank", "knn"), ("graph_rank", "kmst"), ("robust_rank", "robust_knn")]
+
+
+@st.composite
+def awkward_sample(draw, n):
+    """n rows of 1-3 unit-scale columns with ties: a constant column, two
+    equal rows, binary values, or values rounded to 0.1."""
+    p = draw(st.integers(1, 3))
+    kind = draw(st.sampled_from(["constant_column", "duplicate_rows", "binary", "rounded"]))
+    low, top, denom = {"binary": (0, 1, 1), "rounded": (-10, 10, 10)}.get(
+        kind, (-(10**6), 10**6, 10**6))
+    x = np.array(draw(st.lists(st.integers(low, top), min_size=n * p, max_size=n * p)),
+                 dtype=float).reshape(n, p) / denom
+    if kind == "constant_column":
+        x[:, draw(st.integers(0, p - 1))] = draw(st.integers(low, top)) / denom
+    elif kind == "duplicate_rows":
+        x[draw(st.integers(0, n - 1))] = x[draw(st.integers(0, n - 1))]
+    return x
+
+
+@given(data=st.data(), n=st.integers(4, 12), pair=st.sampled_from(SCHEME_GRAPHS))
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_awkward_input_is_tested_or_refused(data, n, pair, tmp_path, capsys):
+    # a finite p-value, or a data error (exit 2) on one line; never a usage
+    # error, and no numpy warning on the way
+    scheme, graph = pair
+    argv = ["test", "--x", write_csv(tmp_path / "x.csv", data.draw(awkward_sample(n))),
+            "--y", write_csv(tmp_path / "y.csv", data.draw(awkward_sample(n))),
+            "--scheme", scheme, "--graph", graph] + (["--k", "1"] if graph == "kmst" else [])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = cli.main(argv)
+    out, err = capsys.readouterr()
+    if code == 0:
+        p = json.loads(out)["p_analytic"]
+        assert math.isfinite(p) and 0 <= p <= 1
+    else:
+        assert code == 2 and out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("gitest: error: ")
 
 
 class TestCliSizeSmoke:

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gitest import cli, simulate
 from gitest.rng import derive_seed, splitmix64_mix
@@ -14,11 +16,13 @@ from gitest.simulate import (
     estimate_power,
     generate,
     lognormal,
+    TIDY_COLUMNS,
+    PowerEstimate,
     power_csv,
     power_json,
     t10,
-    tidy_csv,
     tidy_row,
+    to_csv,
 )
 
 
@@ -404,6 +408,95 @@ class TestEmission:
     def test_tidy_csv(self):
         spec = SettingSpec(id="s5_1", n=16, p=3, seed=6)
         est = estimate_power(spec, reps=3)
-        text = tidy_csv([tidy_row(est, "GIT", est.power, "")])
+        text = to_csv([tidy_row(est, "GIT", est.power, "")], TIDY_COLUMNS)
         assert text.startswith("setting,n,p,reps,level,method,series,param,power\n")
         assert ",GIT,," in text
+
+    def test_to_csv_rules(self):
+        rows = [{"level": 0.1234567, "runtime_seconds": 2.0, "power": 1 / 3, "n": 7,
+                 "param": None, "series": "GIT"}]
+        assert to_csv(rows, ("series", "n", "level", "power", "runtime_seconds", "param")) == (
+            "series,n,level,power,runtime_seconds,param\nGIT,7,0.123457,0.3333333333,2.000,\n")
+        assert to_csv([], ("a", "b")) == "a,b\n"
+
+
+# -- the writers to_csv replaced, verbatim, as byte-identity oracles ----------
+
+POWER_CSV_HEADER = "setting,n,p,reps,level,method,power,runtime_seconds"
+TIDY_CSV_HEADER = "setting,n,p,reps,level,method,series,param,power"
+
+
+def power_csv_reference(estimates, timing: bool = False) -> str:
+    """Fixed-schema CSV; wall-clock column left empty unless ``timing``."""
+    lines = [POWER_CSV_HEADER]
+    for e in estimates:
+        rt = f"{e.runtime_seconds:.3f}" if timing else ""
+        lines.append(
+            f"{e.setting.id},{e.setting.n},{e.setting.p},{e.replications},"
+            f"{e.level:g},{e.method},{e.power:.10g},{rt}"
+        )
+    return "\n".join(lines) + "\n"
+
+
+def tidy_csv_reference(rows) -> str:
+    """Long-format CSV for plotting: one (series, param, power) per line."""
+    lines = [TIDY_CSV_HEADER]
+    for r in rows:
+        lines.append(
+            f"{r['setting']},{r['n']},{r['p']},{r['reps']},{r['level']:g},"
+            f"{r['method']},{r['series']},{r['param']},{r['power']:.10g}"
+        )
+    return "\n".join(lines) + "\n"
+
+
+def result_csv_reference(d: dict) -> str:
+    head = ["statistic", "df", "p_analytic", "p_permutation", "max_stat", "n", "k",
+            "lambda", "scheme"]
+    vals = [d[h] for h in head]
+    for comp in d["components"]:
+        head += [f"{comp['name']}_z", f"{comp['name']}_p"]
+        vals += [comp["z"], comp["p"]]
+    fmt = ["" if v is None else (f"{v:.10g}" if isinstance(v, float) else str(v)) for v in vals]
+    return ",".join(head) + "\n" + ",".join(fmt) + "\n"
+
+
+#: every float, 1e-300 to 1e300, subnormals, -0.0, infinities and nan included
+FLOATS = st.floats() | st.sampled_from([1e-300, -1e-300, 1e300, -1e300, -0.0, 0.1234567891234])
+INTS = st.integers(-(10**20), 10**20)
+SETTINGS = [s for s in SETTING_IDS if not s.startswith("tune_")]
+
+
+@st.composite
+def power_estimates(draw):
+    spec = SettingSpec(draw(st.sampled_from(SETTINGS)), draw(st.integers(4, 10**6)),
+                       draw(st.integers(1, 10**6)), seed=draw(st.integers(0, 2**64 - 1)))
+    return PowerEstimate(spec, draw(st.integers(1, 10**9)), draw(FLOATS), draw(INTS),
+                         draw(FLOATS), draw(FLOATS), draw(st.sampled_from(["analytic",
+                                                                           "permutation"])))
+
+
+class TestCsvWriterOracle:
+    """``to_csv`` prints every table byte for byte as the writers it replaced."""
+
+    @given(st.lists(power_estimates(), max_size=4), st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_power_table(self, ests, timing):
+        assert power_csv(ests, timing) == power_csv_reference(ests, timing)
+
+    @given(st.lists(st.tuples(power_estimates(), st.text(), FLOATS, st.text()), max_size=4))
+    @settings(max_examples=300, deadline=None)
+    def test_long_format(self, cells):
+        rows = [tidy_row(e, series, power, param) for e, series, power, param in cells]
+        assert to_csv(rows, TIDY_COLUMNS) == tidy_csv_reference(rows)
+
+    @given(st.fixed_dictionaries(
+        {h: st.none() | INTS | FLOATS | st.text()
+         for h in ("statistic", "df", "p_analytic", "p_permutation", "max_stat", "n", "k",
+                   "lambda", "scheme")}),
+        st.lists(st.fixed_dictionaries({"name": st.sampled_from(["RG1", "RG2", "RG3", "RG4"]),
+                                        "z": st.none() | FLOATS, "p": st.none() | FLOATS}),
+                 max_size=4, unique_by=lambda c: c["name"]))
+    @settings(max_examples=300, deadline=None)
+    def test_result_row(self, head, components):
+        d = {**head, "components": components}
+        assert cli._result_csv(d) == result_csv_reference(d)
