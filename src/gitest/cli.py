@@ -68,12 +68,15 @@ def read_matrix_csv(path: str, header: bool = False, delimiter: str = ",") -> np
     return np.asarray(rows, dtype=np.float64)
 
 
-def _add_score_flags(p: argparse.ArgumentParser):
-    p.add_argument("--scheme", choices=SCHEMES, default="robust_rank")
-    p.add_argument("--graph", choices=FAMILIES, default="robust_knn",
+def _add_score_flags(p: argparse.ArgumentParser, scheme: bool = True):
+    cfg = ScoreConfig()
+    if scheme:
+        p.add_argument("--scheme", choices=SCHEMES, default=cfg.scheme)
+    p.add_argument("--graph", choices=FAMILIES, default=cfg.graph_family,
                    help="graph family (either member of a similarity/dissimilarity pair)")
-    p.add_argument("--k", default="auto", help="neighbor count, or 'auto' for floor(sqrt(n))")
-    p.add_argument("--lambda", dest="lam", type=float, default=0.3,
+    p.add_argument("--k", type=neighbors, default=cfg.k,
+                   help="neighbor count, or 'auto' for floor(sqrt(n))")
+    p.add_argument("--lambda", dest="lam", type=float, default=cfg.lam,
                    help="hub penalty of the robust graphs")
 
 
@@ -82,13 +85,9 @@ def _add_io_flags(p: argparse.ArgumentParser):
     p.add_argument("--delimiter", default=",")
 
 
-def _parse_k(k: str) -> int | str:
-    if k == "auto":
-        return k
-    try:
-        return int(k)
-    except ValueError:
-        raise ValueError(f"--k must be an integer or 'auto', got {k!r}") from None
+def neighbors(text: str) -> int | str:
+    """``--k``: an integer, or 'auto'."""
+    return text if text == "auto" else int(text)  # a ValueError: "invalid neighbors value"
 
 
 def alphas(text: str) -> list[float]:
@@ -101,14 +100,11 @@ def alphas(text: str) -> list[float]:
 
 
 def _score_config(args) -> ScoreConfig:
-    return ScoreConfig(scheme=args.scheme, graph_family=args.graph, k=_parse_k(args.k),
-                       lam=args.lam)
+    return ScoreConfig(scheme=args.scheme, graph_family=args.graph, k=args.k, lam=args.lam)
 
 
 def _threads(args) -> int:
     if args.threads is not None:
-        if args.threads < 1:
-            raise ValueError(f"--threads must be at least 1, got {args.threads}")
         return args.threads
     env = os.environ.get("GITEST_THREADS", "")
     if env.strip():
@@ -163,11 +159,9 @@ def cmd_test(args) -> int:
     x, y = _load_pair(args)
     if args.n_perm is not None and args.method == "analytic":
         raise ValueError("--n-perm requires --method permutation or both")
-    n_perm = 500 if args.n_perm is None else args.n_perm
-    if n_perm < 1:
-        raise ValueError("--n-perm must be positive")
-    result = run_test(x, y, _score_config(args), method=args.method,
-                      n_perm=n_perm, seed=args.seed, threads=_threads(args))
+    n_perm = {} if args.n_perm is None else {"n_perm": args.n_perm}  # else run_test's default
+    result = run_test(x, y, _score_config(args), method=args.method, seed=args.seed,
+                      threads=_threads(args), **n_perm)
     d = result.to_json_dict()
     if args.format == "json":
         print(json.dumps(d, indent=2))
@@ -195,8 +189,7 @@ def cmd_simulate(args) -> int:
              for n in args.n or [sim.default_dimensions(setting)[0]]
              for p in args.p or [sim.default_dimensions(setting)[1]]]
     cells = [(spec, ScoreConfig(), "") for spec in specs]
-    # one cell per alpha, at k = floor(n^alpha): n >= 4 and 0 < alpha < 1
-    # put it in [1, n - 1]
+    # one cell per alpha, at k = floor(n^alpha), in [1, n - 1] as n >= 4 and 0 < alpha < 1
     if args.sweep_alphas:
         cells = [(spec, ScoreConfig(k=int(spec.n ** a)), f"alpha={a:g}")
                  for spec in specs for a in args.sweep_alphas]
@@ -229,7 +222,7 @@ def cmd_diagnose(args) -> int:
 def cmd_graph(args) -> int:
     z = read_matrix_csv(args.x, header=args.header, delimiter=args.delimiter)
     D = pairwise_distances(z)
-    k = ScoreConfig(k=_parse_k(args.k), lam=args.lam).resolve_k(z.shape[0])
+    k = ScoreConfig(k=args.k, lam=args.lam).resolve_k(z.shape[0])
     sys.stdout.write(dump_edges(union_graph(GRAPHS[args.graph](D, k, args.lam)), D))
     return EXIT_OK
 
@@ -284,9 +277,7 @@ def build_parser() -> _Parser:
 
     p_graph = sub.add_parser("graph", help="dump a neighbor graph as an edge list")
     p_graph.add_argument("--x", required=True, help="CSV of observations")
-    p_graph.add_argument("--graph", choices=FAMILIES, default="robust_knn")
-    p_graph.add_argument("--k", default="auto")
-    p_graph.add_argument("--lambda", dest="lam", type=float, default=0.3)
+    _add_score_flags(p_graph, scheme=False)
     _add_io_flags(p_graph)
     p_graph.set_defaults(func=cmd_graph)
 

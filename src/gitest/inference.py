@@ -121,14 +121,20 @@ def permutation_test(q: QuadrupleInputs, n_perm: int, seed: int, threads: int = 
     and covariance are held fixed because they are invariant under that
     relabeling.  Results do not depend on ``threads``.
     """
+    _check_permutations(n_perm, threads)
     return _permutation_p(q, git_test(q), n_perm, seed, threads)
+
+
+def _check_permutations(n_perm: int, threads: int) -> None:
+    if n_perm < 1:
+        raise ValueError("n_perm must be positive")
+    if threads < 1:
+        raise ValueError(f"threads must be at least 1, got {threads}")
 
 
 def _permutation_p(q: QuadrupleInputs, observed: GitResult, n_perm: int, seed: int,
                    threads: int) -> float:
-    """``permutation_test`` with ``observed = git_test(q)`` already computed."""
-    if n_perm < 1:
-        raise ValueError("n_perm must be positive")
+    """``permutation_test`` past its checks, with ``observed = git_test(q)``."""
     y_at = tuple(m.dense().ravel().take for m in (q.dy, q.sy))
 
     def exceeds(b: int) -> int:
@@ -153,8 +159,6 @@ def quadruple_from_samples(x, y, cfg: ScoreConfig = ScoreConfig()) -> QuadrupleI
         raise StructuralError(
             f"paired samples must align: x has {x.shape[0]} rows, y has {y.shape[0]}"
         )
-    if x.shape[0] < 4:
-        raise StructuralError("need at least 4 paired observations")
     sim_x, dis_x = build_scores(x, cfg)
     sim_y, dis_y = build_scores(y, cfg)
     return QuadrupleInputs(sx=sim_x, dx=dis_x, sy=sim_y, dy=dis_y)
@@ -165,10 +169,11 @@ def run_test(x, y, cfg: ScoreConfig = ScoreConfig(), method: str = "analytic",
     """End-to-end test on raw paired samples.
 
     ``method`` picks which p-values to report: "analytic", "permutation", or
-    "both".
+    "both".  ``n_perm`` and ``threads`` are checked first, whatever the method.
     """
     if method not in ("analytic", "permutation", "both"):
         raise ValueError(f"unknown method {method!r}")
+    _check_permutations(n_perm, threads)
     q = quadruple_from_samples(x, y, cfg)
     result = git_test(q, cfg)
     if method in ("permutation", "both"):

@@ -93,6 +93,7 @@ def symmetrize(C: ScoreMatrix) -> ScoreMatrix:
     order = np.argsort(keys, kind="stable")  # a cell's C_ij, then its C_ji
     keys = keys[order]
     first = np.flatnonzero(np.concatenate((keys[:1] >= 0, keys[1:] != keys[:-1])))
-    v = np.add.reduceat(np.concatenate([C.values, C.values])[order], first) / 2.0
+    with np.errstate(over="ignore"):  # ScoreMatrix refuses a sum that overflowed
+        v = np.add.reduceat(np.concatenate([C.values, C.values])[order], first) / 2.0
     rows, cols = np.divmod(keys[first], n)
     return ScoreMatrix(n, rows, cols, v)

@@ -144,13 +144,14 @@ def null_moments(q: QuadrupleInputs) -> NullMoments:
     n = q.n
     if n < 4:
         raise StructuralError(f"null moments need n >= 4, got n={n}")
-    tx, c2x, c3x = _sample_summaries(q.dx, q.sx)
-    ty, c2y, c3y = _sample_summaries(q.dy, q.sy)
-    X, Y = np.ix_(_X_SIDE, _X_SIDE), np.ix_(_Y_SIDE, _Y_SIDE)
-    ax, ay = tx[_X_SIDE], ty[_Y_SIDE]
-    mu = ax * ay / (n * (n - 1))
-    sigma = _cov_from_summaries(ax[:, None], ax, c2x[X], c3x[X],
-                                ay[:, None], ay, c2y[Y], c3y[Y], n)
+    with np.errstate(over="ignore", invalid="ignore"):  # _spectral_rank refuses a non-finite sigma
+        tx, c2x, c3x = _sample_summaries(q.dx, q.sx)
+        ty, c2y, c3y = _sample_summaries(q.dy, q.sy)
+        X, Y = np.ix_(_X_SIDE, _X_SIDE), np.ix_(_Y_SIDE, _Y_SIDE)
+        ax, ay = tx[_X_SIDE], ty[_Y_SIDE]
+        mu = ax * ay / (n * (n - 1))
+        sigma = _cov_from_summaries(ax[:, None], ax, c2x[X], c3x[X],
+                                    ay[:, None], ay, c2y[Y], c3y[Y], n)
     return _spectral_rank(mu, sigma)
 
 

@@ -18,7 +18,8 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .inference import COMPONENT_NAMES, _permutation_p, git_test, quadruple_from_samples
+from .inference import (COMPONENT_NAMES, _check_permutations, _permutation_p, git_test,
+                        quadruple_from_samples)
 from .rng import derive_seed
 from .scores import ScoreConfig
 
@@ -295,8 +296,8 @@ def estimate_power(spec: SettingSpec, cfg: ScoreConfig = ScoreConfig(),
         raise ValueError("level must lie in (0, 1]")
     if method not in ("analytic", "permutation"):
         raise ValueError(f"unknown method {method!r}")
-    if method == "permutation" and n_perm < 1:
-        raise ValueError("n_perm must be positive")
+    if method == "permutation":
+        _check_permutations(n_perm, threads=1)
     start = time.perf_counter()
     rejections = 0
     counts = dict.fromkeys(COMPONENT_NAMES, 0)

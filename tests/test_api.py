@@ -1,6 +1,7 @@
 """The package surface: the names ``gitest`` exports, no module in the
-package, ``scripts/`` or ``tests/`` importing a name it never uses, and no
-library function or class that only tests read."""
+package, ``scripts/`` or ``tests/`` importing a name it never uses, no
+library function or class that only tests read, and score-flag defaults
+that ``gitest`` takes from ``ScoreConfig``."""
 
 import ast
 import pathlib
@@ -8,6 +9,7 @@ import pathlib
 import pytest
 
 import gitest
+from gitest import cli
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 MODULES = sorted(p for d in ("src/gitest", "scripts", "tests") for p in (ROOT / d).glob("*.py"))
@@ -95,3 +97,31 @@ def test_no_library_code_only_tests_read():
                             for p in (ROOT / "src/gitest").glob("*.py")))
     read = set().union(*(names_read(p.read_text(encoding="utf-8")) for p in RUNNING))
     assert sorted(defined - read - set(gitest.__all__)) == []
+
+
+#: parsed name -> the ``ScoreConfig`` field that gives the score flag's default
+SCORE_DESTS = {"scheme": "scheme", "graph": "graph_family", "k": "k", "lam": "lam"}
+SCORE_FLAGS = {"--scheme", "--graph", "--k", "--lambda"}
+
+
+@pytest.mark.parametrize("argv", [["test", "--x", "x", "--y", "y"],
+                                  ["diagnose", "--x", "x", "--y", "y"],
+                                  ["graph", "--x", "x"]], ids=lambda argv: argv[0])
+def test_score_flags_default_to_score_config(argv):
+    args = vars(cli.build_parser().parse_args(argv))
+    dests = [d for d in SCORE_DESTS if not (argv[0] == "graph" and d == "scheme")]
+    assert {d: args[d] for d in dests} == {d: getattr(gitest.ScoreConfig(), SCORE_DESTS[d])
+                                          for d in dests}
+
+
+def test_score_flags_state_no_literal_default():
+    """A default written as a literal would restate ``ScoreConfig``'s."""
+    flags, literal = set(), []
+    for node in ast.walk(ast.parse((ROOT / "src/gitest/cli.py").read_text(encoding="utf-8"))):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "add_argument" and node.args
+                and isinstance(node.args[0], ast.Constant) and node.args[0].value in SCORE_FLAGS):
+            flags.add(node.args[0].value)
+            literal += [node.args[0].value for kw in node.keywords
+                        if kw.arg == "default" and isinstance(kw.value, ast.Constant)]
+    assert flags == SCORE_FLAGS and literal == []

@@ -76,6 +76,14 @@ class TestCmdTest:
         px, py, _, _ = gaussian_pair
         assert cli.main(["test", "--x", px, "--y", py, "--n-perm", "99"]) == 64
 
+    def test_n_perm_default_is_run_tests(self, gaussian_pair, capsys, monkeypatch):
+        cfg, method, _, seed, threads = run_test.__defaults__
+        monkeypatch.setattr(run_test, "__defaults__", (cfg, method, 9, seed, threads))
+        px, py, _, _ = gaussian_pair
+        assert cli.main(["test", "--x", px, "--y", py, "--method", "permutation"]) == 0
+        p = json.loads(capsys.readouterr().out)["p_permutation"]
+        assert p < 1 and abs(p * 10 - round(p * 10)) < 1e-9  # (1 + count) / (9 + 1)
+
     def test_method_both_reports_both(self, gaussian_pair, capsys):
         px, py, _, _ = gaussian_pair
         assert cli.main(["test", "--x", px, "--y", py, "--method", "both",
@@ -132,6 +140,24 @@ class TestCmdTest:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("gitest: error: kernel weights overflow")
 
+    @pytest.mark.parametrize("y_tail, message", [
+        ((1e-6, 5.2e-5, -1e-6, 1.382e-3, 2e-6), "null covariance is not finite"),
+        ((1e-6, 3.27e-4, -2.5e-5, -1.2933e-2, -1.82e-4), "score matrix entries must be finite"),
+    ], ids=["moments", "symmetrize"])
+    def test_overflowing_kernel_sums_exit_2_without_a_warning(self, tmp_path, capsys, y_tail,
+                                                               message):
+        # five coincident rows make the median squared edge length tiny, so the
+        # outliers' weights exp(d^2 / 2h) are finite but their sums overflow
+        x = np.array([0, 0, 0, 0, 0, 1e-6, 3e-6, -2e-6, 2e-6, -1e-6])[:, None]
+        y = np.array((0,) * 5 + y_tail)[:, None]
+        px, py = write_csv(tmp_path / "x.csv", x), write_csv(tmp_path / "y.csv", y)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert cli.main(["test", "--x", px, "--y", py, "--scheme", "kernel_weight",
+                            "--graph", "knn"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and len(err.splitlines()) == 1 and message in err
+
     def test_overflowing_covariance_exit_2(self, tmp_path, capsys):
         d = sim.generate(sim.SettingSpec(id="motivating", n=60, p=5, seed=1))
         px = write_csv(tmp_path / "x.csv", d.x * 1e80)
@@ -162,6 +188,34 @@ class TestCmdTest:
         assert out == ""
         err = err.splitlines()
         assert len(err) == 1 and err[0].startswith("gitest: error: GITEST_THREADS")
+
+    @pytest.mark.parametrize("text, message", [
+        ("1,2\n\n3,4,5\n", "x.csv: row 3 has 3 cells, expected 2"),
+        ("", "x.csv: no data rows"),
+        ("\n  \n", "x.csv: no data rows"),
+        (None, "cannot read"),
+    ], ids=["ragged", "empty", "blank-lines-only", "unreadable"])
+    def test_unreadable_csv_exit_2(self, gaussian_pair, tmp_path, capsys, text, message):
+        _, py, _, _ = gaussian_pair
+        px = tmp_path / "bad" / "x.csv"
+        if text is not None:
+            px.parent.mkdir()
+            px.write_text(text)
+        assert cli.main(["test", "--x", str(px), "--y", py]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        err = err.splitlines()
+        assert len(err) == 1 and err[0].startswith("gitest: error: ") and message in err[0]
+
+    def test_blank_lines_are_skipped(self, gaussian_pair, tmp_path, capsys):
+        px, py, _, _ = gaussian_pair
+        assert cli.main(["test", "--x", px, "--y", py]) == 0
+        plain = capsys.readouterr().out
+        lines = pathlib.Path(px).read_text().splitlines()
+        spaced = tmp_path / "spaced.csv"
+        spaced.write_text("\n" + "\n".join(lines[:10] + ["", "   "] + lines[10:]) + "\n\n")
+        assert cli.main(["test", "--x", str(spaced), "--y", py]) == 0
+        assert capsys.readouterr().out == plain
 
     def test_byte_order_mark_accepted(self, gaussian_pair, tmp_path, capsys):
         # spreadsheet exports start a UTF-8 file with U+FEFF
@@ -438,6 +492,10 @@ class TestCmdGraph:
      "--threads", "2"],
     ["test", "--method", "both", "--threads", "0"],
     ["test", "--method", "both", "--threads", "-3"],
+    ["test", "--method", "both", "--n-perm", "0"],
+    ["test", "--threads", "0"],
+    ["test", "--method", "permutation", "--threads", "0"],
+    ["test", "--k", "abc"],
 ])
 def test_invalid_flag_value_is_usage_error(argv, tmp_path, rng, capsys, monkeypatch):
     # samples of n=30 rows: --k 40 exceeds n - 1, and --k 20 exceeds the 15
@@ -501,6 +559,28 @@ def test_awkward_input_is_tested_or_refused(data, n, pair, tmp_path, capsys):
     else:
         assert code == 2 and out == ""
         assert len(err.splitlines()) == 1 and err.startswith("gitest: error: ")
+
+
+@given(n=st.integers(4, 12), p=st.integers(1, 3), pair=st.sampled_from(SCHEME_GRAPHS),
+       constant_x=st.booleans(), command=st.sampled_from(["test", "diagnose"]),
+       value=st.floats(-1e6, 1e6, allow_nan=False), seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_coincident_rows_exit_2(n, p, pair, constant_x, command, value, seed, tmp_path,
+                                capsys):
+    # every neighbor graph of a sample whose rows all coincide is decided by
+    # index order alone: a data error on one line, whichever side it is on
+    scheme, graph = pair
+    samples = [np.full((n, p), value), np.random.default_rng(seed).standard_normal((n, p))]
+    x, y = samples if constant_x else samples[::-1]
+    argv = [command, "--x", write_csv(tmp_path / "x.csv", x),
+            "--y", write_csv(tmp_path / "y.csv", y),
+            "--scheme", scheme, "--graph", graph, "--k", "1"]
+    assert cli.main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    err = err.splitlines()
+    assert len(err) == 1 and err[0].startswith("gitest: error: ")
 
 
 class TestCliSizeSmoke:

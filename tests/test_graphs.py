@@ -185,6 +185,21 @@ class TestKmst:
             kmst(D, 2, NEAREST)
 
 
+class TestDigraph:
+    @pytest.mark.parametrize("n, k, nb, message", [
+        (4, 1, [[1], [0], [1]], r"out_neighbors shape \(3, 1\) != \(4, 1\)"),
+        (4, 4, [[1, 2, 3, 0]] * 4, "k=4 out of range for n=4"),
+        (4, 0, np.zeros((4, 0), dtype=int), "k=0 out of range for n=4"),
+        (4, 2, [[1, 2], [0, 0], [1, 3], [0, 1]], "node 1 has an invalid neighbor set"),
+        (4, 1, [[1], [0], [2], [0]], "node 2 has an invalid neighbor set"),
+        (4, 1, [[1], [0], [4], [0]], "neighbor index out of range"),
+        (4, 1, [[1], [-1], [0], [0]], "neighbor index out of range"),
+    ], ids=["shape", "k-too-large", "k-zero", "repeated", "self", "above-n", "negative"])
+    def test_rejects(self, n, k, nb, message):
+        with pytest.raises(StructuralError, match=message):
+            Digraph(n, k, np.asarray(nb))
+
+
 class TestUndirectedGraph:
     @pytest.mark.parametrize("edges", [
         ((0, 1), (2, 2)),
@@ -262,6 +277,10 @@ class TestRobustGraph:
     def test_rejects_negative_lambda(self):
         with pytest.raises(ValueError):
             robust_graph(line_distances([0, 1, 3]), 1, -0.1)
+
+    def test_rejects_zero_sweeps(self):
+        with pytest.raises(ValueError, match="max_sweeps must be positive"):
+            robust_graph(line_distances([0, 1, 3]), 1, 0.3, max_sweeps=0)
 
 
 def _broken_distances(defect):
@@ -857,3 +876,7 @@ class TestDumpEdges:
         G = UndirectedGraph(4, ((2, 3), (0, 1)))
         lines = dump_edges(G, line_distances([0, 1, 3, 7])).strip().split("\n")
         assert lines == ["0\t1\t1", "2\t3\t4"]
+
+    def test_rejects_a_non_graph(self):
+        with pytest.raises(TypeError, match="cannot dump edges of list"):
+            dump_edges([(0, 1)], line_distances([0, 1, 3, 7]))

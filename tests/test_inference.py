@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gitest import inference
-from gitest.errors import DegenerateDataError
+from gitest.errors import DegenerateDataError, StructuralError
 from gitest.inference import git_test, permutation_test, quadruple_from_samples, run_test
 from gitest.moments import QuadrupleInputs, null_moments
 from gitest.scores import ScoreConfig
@@ -213,6 +213,11 @@ class TestPermutationTest:
         with pytest.raises(ValueError):
             permutation_test(make_quadruple(rng, 10), n_perm=0, seed=0)
 
+    @pytest.mark.parametrize("threads", [0, -2])
+    def test_threads_below_one_rejected(self, rng, threads):
+        with pytest.raises(ValueError, match=f"threads must be at least 1, got {threads}"):
+            permutation_test(make_quadruple(rng, 10), n_perm=19, seed=1, threads=threads)
+
     def test_strong_dependence_hits_floor(self, rng):
         x = rng.standard_normal((50, 20))
         q = quadruple_from_samples(x, x.copy())
@@ -293,6 +298,26 @@ class TestRunTest:
         for a, b in ((x, y), (y, x)):
             with pytest.raises(DegenerateDataError, match="all pairwise distances are zero"):
                 run_test(a, b)
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"method": "permutation", "n_perm": 0}, "n_perm must be positive"),
+        ({"method": "both", "n_perm": -1}, "n_perm must be positive"),
+        ({"method": "analytic", "threads": 0}, "threads must be at least 1, got 0"),
+        ({"method": "permutation", "threads": 0}, "threads must be at least 1, got 0"),
+        ({"method": "both", "threads": 0}, "threads must be at least 1, got 0"),
+        ({"method": "bogus"}, "unknown method 'bogus'"),
+    ], ids=["zero-permutations", "negative-permutations", "zero-threads-analytic",
+            "zero-threads-permutation", "zero-threads-both", "unknown-method"])
+    def test_bad_arguments_refused_before_scoring(self, rng, monkeypatch, kwargs, message):
+        calls = []
+        monkeypatch.setattr(inference, "build_scores", lambda *a: calls.append(a))
+        with pytest.raises(ValueError, match=message):
+            run_test(rng.standard_normal((20, 3)), rng.standard_normal((20, 3)), **kwargs)
+        assert calls == []
+
+    def test_too_few_rows_refused_by_the_scores(self, rng):
+        with pytest.raises(StructuralError, match="at least 4 observations"):
+            run_test(rng.standard_normal((3, 2)), rng.standard_normal((3, 2)))
 
     def test_misaligned_samples_rejected(self, rng):
         with pytest.raises(Exception, match="paired samples must align"):

@@ -123,6 +123,11 @@ class TestNullMoments:
         same = QuadrupleInputs(sx=q.sx, dx=q.sx, sy=q.sy, dy=q.sy)
         assert null_moments(same).rank < 4
 
+    def test_matrices_of_different_n_rejected(self, rng):
+        small, large = random_symmetric_scores(rng, 5), random_symmetric_scores(rng, 6)
+        with pytest.raises(StructuralError, match="all four score matrices must share one n"):
+            QuadrupleInputs(sx=small, dx=small, sy=small, dy=large)
+
     def test_generic_inputs_rank_four(self, rng):
         q = make_quadruple(rng, 20)
         assert null_moments(q).rank == 4

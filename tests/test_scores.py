@@ -61,6 +61,14 @@ class TestScoreConfig:
         with pytest.raises(ValueError):
             ScoreConfig(k="sqrt")
 
+    def test_unknown_scheme(self):
+        with pytest.raises(ValueError, match="unknown scheme 'ranks'"):
+            ScoreConfig(scheme="ranks")
+
+    def test_unknown_family(self):
+        with pytest.raises(ValueError, match="unknown graph family 'mst'"):
+            ScoreConfig(graph_family="mst")
+
 
 class TestAdjacency:
     def test_complete_digraph(self):
@@ -206,6 +214,16 @@ class TestGraphRank:
         # k=2 on 4 points: one candidate per row stays off-graph with rank 0
         assert sorted(np.sort(R.dense(), axis=1)[:, -2:].ravel().tolist()) == [1, 1, 1, 1, 2, 2, 2, 2]
         assert (R.dense() == 0).sum() == 4 + 4  # diagonal + one unranked peer per row
+
+    def test_no_layers_rejected(self):
+        with pytest.raises(StructuralError, match="at least one layer required"):
+            graph_rank_scores([])
+
+    def test_layers_of_different_n_rejected(self):
+        layers = [neighbor_layers(pairwise_distances(z), 1, NEAREST)[0]
+                  for z in (LINE, np.vstack([LINE, [[15.0]]]))]
+        with pytest.raises(StructuralError, match="layers disagree on node count"):
+            graph_rank_scores(layers)
 
     def test_overlapping_layers_rejected(self):
         D = pairwise_distances(LINE)
