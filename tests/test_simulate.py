@@ -116,6 +116,31 @@ def test_overrides_are_read_or_refused(sid):
     assert digest.hexdigest() == GENERATE_DIGESTS[sid]
 
 
+#: sha256 over generate's x and y bytes for (n, p) in (4, 400), (4, 1000) and
+#: seeds 0 and 7: the noise steps GENERATE_DIGESTS' p < 400 cannot reach
+#: (s3_3's sd 2.0 from p = 400, s2_3's scale 0.1 from p = 1000)
+STEP_DIGESTS = {
+    "s2_1": "807b87ad077368bd794580cfeb7071220ca70f86ae704319744a8709256d7fb0",
+    "s2_2": "61c8d3294203095cc6144c446a85222f7833949154d65f393bb5ac703ff7b3c9",
+    "s2_3": "791c57c39d8b5cf9655486bf3639fd9f4e10918dc0f789f0387ec41165167b1f",
+    "s3_1": "4c408968047df1bbf6ea72fdc512d8942d2787660d54d9d7e9fb0abc17ad35dd",
+    "s3_2": "3ad6244a8202bbd528786748f870d977027303ea64d987666dd8b7f158780271",
+    "s3_3": "8e2f6b2dc83677c4f3f17c86b44bba934f948bfa18098936f2455034b19fcfd8",
+}
+
+
+@pytest.mark.parametrize("sid", sorted(STEP_DIGESTS))
+def test_noise_steps_at_large_p(sid):
+    digest = hashlib.sha256()
+    for n, p in ((4, 400), (4, 1000)):
+        for seed in (0, 7):
+            with np.errstate(over="ignore"):  # s2_3 overflows exp (ROADMAP item 10)
+                sample = generate(SettingSpec(id=sid, n=n, p=p, seed=seed))
+            digest.update(sample.x.tobytes())
+            digest.update(sample.y.tobytes())
+    assert digest.hexdigest() == STEP_DIGESTS[sid]
+
+
 class TestGenerate:
     def test_shapes_and_near_zero_correlation_under_null(self):
         sample = generate(SettingSpec(id="s5_1", n=50, p=20, seed=3))
