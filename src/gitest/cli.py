@@ -20,10 +20,10 @@ import numpy as np
 
 from . import simulate as sim
 from .errors import GitestError
-from .graphs import dump_edges, pairwise_distances
+from .graphs import dump_edges
 from .inference import quadruple_from_samples, run_test
 from .moments import diagnostics
-from .scores import FAMILIES, GRAPHS, SCHEMES, ScoreConfig, union_graph
+from .scores import FAMILIES, GRAPHS, SCHEMES, ScoreConfig, sample_distances, union_graph
 
 EXIT_OK = 0
 EXIT_DATA = 2
@@ -221,7 +221,7 @@ def cmd_diagnose(args) -> int:
 
 def cmd_graph(args) -> int:
     z = read_matrix_csv(args.x, header=args.header, delimiter=args.delimiter)
-    D = pairwise_distances(z)
+    D = sample_distances(z)
     k = ScoreConfig(k=args.k, lam=args.lam).resolve_k(z.shape[0])
     sys.stdout.write(dump_edges(union_graph(GRAPHS[args.graph](D, k, args.lam)), D))
     return EXIT_OK

@@ -10,6 +10,7 @@ side), k = floor(sqrt(n)), hub penalty 0.3.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,6 +67,11 @@ def _pair(family: str) -> tuple[str, str]:
     return next(p for p in _PAIRS if family in p)
 
 
+def _is_count(v) -> bool:
+    """Whether ``v`` is an integer, numpy's included; a bool is not one."""
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
+
+
 @dataclass(frozen=True)
 class ScoreConfig:
     """How to turn a sample into similarity and dissimilarity scores.
@@ -90,8 +96,10 @@ class ScoreConfig:
             raise ValueError("robust_rank scores require the robust_knn/robust_kfp family")
         if self.scheme == "graph_rank" and pair[0] not in ("knn", "kmst"):
             raise ValueError("graph_rank scores require the knn/kfp or kmst/kmaxst family")
-        if self.k != "auto" and (not isinstance(self.k, int) or self.k < 1):
-            raise ValueError(f"k must be 'auto' or a positive integer, got {self.k!r}")
+        if self.k != "auto":
+            if not _is_count(self.k) or self.k < 1:
+                raise ValueError(f"k must be 'auto' or a positive integer, got {self.k!r}")
+            object.__setattr__(self, "k", int(self.k))
         _check_lam(self.lam)
 
     def resolve_k(self, n: int) -> int:
@@ -219,19 +227,26 @@ def union_graph(layers):
     return UndirectedGraph(n, np.vstack([g.edges for g in layers]))
 
 
+def sample_distances(Z) -> np.ndarray:
+    """Pairwise distances of a sample's rows.  Raises DegenerateDataError
+    when all observations coincide, because every neighbor graph of such a
+    sample is decided by index order alone."""
+    D = pairwise_distances(Z)
+    if not D.any():
+        raise DegenerateDataError("all pairwise distances are zero: the sample is constant")
+    return D
+
+
 def build_scores(Z, cfg: ScoreConfig = ScoreConfig()) -> tuple[ScoreMatrix, ScoreMatrix]:
     """Full pipeline: distances, graph pair, weights, symmetrization.
 
-    Returns the (similarity, dissimilarity) score matrices for one sample.
-    Raises DegenerateDataError when all observations coincide, because every
-    neighbor graph of such a sample is decided by index order alone.
+    Returns the (similarity, dissimilarity) score matrices for one sample;
+    a constant sample is refused as in ``sample_distances``.
     """
     Z = np.asarray(Z, dtype=np.float64)
     if Z.ndim != 2 or Z.shape[0] < 4:
         raise StructuralError("need a 2-D sample with at least 4 observations")
-    D = pairwise_distances(Z)
-    if not D.any():
-        raise DegenerateDataError("all pairwise distances are zero: the sample is constant")
+    D = sample_distances(Z)
     k = cfg.resolve_k(Z.shape[0])
     sim_name, dis_name = _pair(cfg.graph_family)
     sim_layers = GRAPHS[sim_name](D, k, cfg.lam)

@@ -21,7 +21,7 @@ import numpy as np
 from .inference import (COMPONENT_NAMES, _check_permutations, _permutation_p, git_test,
                         quadruple_from_samples)
 from .rng import derive_seed
-from .scores import ScoreConfig
+from .scores import ScoreConfig, _is_count
 
 
 class PairedSample(NamedTuple):
@@ -43,13 +43,20 @@ def _bernoulli_signs(rng: np.random.Generator, n: int) -> np.ndarray:
     return 1.0 - 2.0 * rng.integers(0, 2, size=n).astype(np.float64)
 
 
-# -- per-family base draws used by several settings ------------------------
+# -- the laws a recipe draws from: law(rng, size, scale), where scale
+# multiplies a normal or t10 variate and is the log-sd of a log-normal one
 
-_BASE_DRAWS = {
-    "normal": lambda rng, size: rng.standard_normal(size),
-    "t10": t10,
-    "lognormal": lambda rng, size: lognormal(rng, 0.0, 1.0, size),
-}
+
+def _normal(rng: np.random.Generator, size, scale: float = 1.0) -> np.ndarray:
+    return scale * rng.standard_normal(size)
+
+
+def _t10(rng: np.random.Generator, size, scale: float = 1.0) -> np.ndarray:
+    return scale * t10(rng, size)
+
+
+def _lognormal(mean: float) -> Callable:
+    return lambda rng, size, scale=1.0: lognormal(rng, mean, scale, size)
 
 
 def _by_p(p: int, breaks: list[tuple[int, float]], top: float) -> float:
@@ -60,129 +67,83 @@ def _by_p(p: int, breaks: list[tuple[int, float]], top: float) -> float:
     return top
 
 
-# -- recipe implementations -------------------------------------------------
+# -- recipes: each family maps its variant's laws and constants to a
+# generator (rng, n, p) -> (x, y)
 
 
-def _gen_motivating(rng, n, p):
+def _motivating(rng, n, p):
     x = rng.standard_normal((n, p))
     return x, np.log(np.abs(x))
 
 
-_TUNE_PARAMS = {
-    "tune_i": ("normal", 1.6, {50: 0.0, 100: 2.2, 150: 3.2}),
-    "tune_ii": ("t10", 1.8, {50: 0.0, 100: 1.9, 150: 2.9}),
-    "tune_iii": ("lognormal", 0.05, {50: 0.0, 100: 0.45, 150: 0.6}),
-}
+_TUNE_N = (50, 100, 150)  # the n at which a tune_* noise level b is tabulated
 
 
-def _gen_tune(setting_id):
-    family, a, b_table = _TUNE_PARAMS[setting_id]
-    draw = _BASE_DRAWS[family]
-
+def _tune(draw, a: float, b: tuple[float, ...]):
+    """Y = 1/|X + a| + b_n eps, b_n the entry of ``b`` at n's place in _TUNE_N."""
     def gen(rng, n, p):
-        b = b_table[n]  # SettingSpec refuses an n the table lacks
+        b_n = b[_TUNE_N.index(n)]  # SettingSpec refuses an n the table lacks
         x = draw(rng, (n, p))
         eps = draw(rng, (n, p))
-        return x, 1.0 / np.abs(x + a) + b * eps
-
+        return x, 1.0 / np.abs(x + a) + b_n * eps
     return gen
 
 
-def _gen_s1(variant):
+def _s1(u_law, noise_law, noise_scale: float):
+    """X = B_x log|U| + e_x, Y = B_y (5 - log|U|) + e_y: rowwise signs B."""
     def gen(rng, n, p):
-        if variant == 1:
-            u = rng.standard_normal((n, p))
-        elif variant == 2:
-            u = t10(rng, (n, p))
-        else:
-            u = lognormal(rng, -2.0, 1.0, (n, p))
+        core = np.log(np.abs(u_law(rng, (n, p))))
         bx = _bernoulli_signs(rng, n)[:, None]
         by = _bernoulli_signs(rng, n)[:, None]
-        if variant == 1:
-            ex = 1.5 * rng.standard_normal((n, p))
-            ey = 1.5 * rng.standard_normal((n, p))
-        elif variant == 2:
-            ex = 1.5 * t10(rng, (n, p))
-            ey = 1.5 * t10(rng, (n, p))
-        else:
-            ex = lognormal(rng, -0.5, 1.0, (n, p))
-            ey = lognormal(rng, -0.5, 1.0, (n, p))
-        core = np.log(np.abs(u))
+        ex = noise_law(rng, (n, p), noise_scale)
+        ey = noise_law(rng, (n, p), noise_scale)
         return bx * core + ex, by * (5.0 - core) + ey
-
     return gen
 
 
-def _gen_s2(variant):
+def _s2(draw, noise_breaks: list[tuple[int, float]], noise_top: float):
+    """X = (2 - s_x) U_x + e_x, Y = s_y U_y + e_y: s_x and s_y share a scale."""
     def gen(rng, n, p):
-        if variant == 1:
-            sigma = rng.standard_normal(n)
-            sig_x = sigma * rng.standard_normal(n)
-            sig_y = sigma * rng.standard_normal(n)
-            ux = (2.0 - sig_x)[:, None] * rng.standard_normal((n, p))
-            uy = sig_y[:, None] * rng.standard_normal((n, p))
-            sd = _by_p(p, [(100, 0.6)], 1.0)
-            ex = sd * rng.standard_normal((n, p))
-            ey = sd * rng.standard_normal((n, p))
-        elif variant == 2:
-            sigma = t10(rng, n)
-            sig_x = sigma * t10(rng, n)
-            sig_y = sigma * t10(rng, n)
-            ux = (2.0 - sig_x)[:, None] * t10(rng, (n, p))
-            uy = sig_y[:, None] * t10(rng, (n, p))
-            scale = _by_p(p, [(100, 0.4)], 1.0)
-            ex = scale * t10(rng, (n, p))
-            ey = scale * t10(rng, (n, p))
-        else:
-            sigma = lognormal(rng, 0.0, 1.0, n)
-            sig_x = np.exp(sigma * rng.standard_normal(n))
-            sig_y = np.exp(sigma * rng.standard_normal(n))
-            ux = np.exp((5.0 - sig_x)[:, None] * rng.standard_normal((n, p)))
-            uy = np.exp(sig_y[:, None] * rng.standard_normal((n, p)))
-            scale = _by_p(p, [(1000, 0.2)], 0.1)
-            ex = scale * lognormal(rng, 0.0, 1.0, (n, p))
-            ey = scale * lognormal(rng, 0.0, 1.0, (n, p))
+        sigma = draw(rng, n)
+        sig_x = sigma * draw(rng, n)
+        sig_y = sigma * draw(rng, n)
+        ux = (2.0 - sig_x)[:, None] * draw(rng, (n, p))
+        uy = sig_y[:, None] * draw(rng, (n, p))
+        noise = _by_p(p, noise_breaks, noise_top)
+        ex = draw(rng, (n, p), noise)
+        ey = draw(rng, (n, p), noise)
         return ux + ex, uy + ey
-
     return gen
 
 
-def _gen_s3(variant):
+def _s2_3(rng, n, p):
+    sigma = lognormal(rng, 0.0, 1.0, n)
+    sig_x = np.exp(sigma * rng.standard_normal(n))
+    sig_y = np.exp(sigma * rng.standard_normal(n))
+    ux = np.exp((5.0 - sig_x)[:, None] * rng.standard_normal((n, p)))
+    uy = np.exp(sig_y[:, None] * rng.standard_normal((n, p)))
+    scale = _by_p(p, [(1000, 0.2)], 0.1)
+    ex = scale * lognormal(rng, 0.0, 1.0, (n, p))
+    ey = scale * lognormal(rng, 0.0, 1.0, (n, p))
+    return ux + ex, uy + ey
+
+
+def _s3(draw, rate: float, noise_breaks: list[tuple[int, float]], noise_top: float):
+    """Y = log|X| on the first half of the rows, exp(rate X) on the rest, plus noise."""
     def gen(rng, n, p):
         m = (n + 1) // 2  # first half (rounded up) follows the first regime
-        if variant == 1:
-            x = rng.standard_normal((n, p))
-            eps = 1.2 * rng.standard_normal((n, p))
-            first, second = np.log(np.abs(x[:m])), np.exp(0.6 * x[m:])
-        elif variant == 2:
-            x = t10(rng, (n, p))
-            eps = t10(rng, (n, p))
-            first, second = np.log(np.abs(x[:m])), np.exp(0.5 * x[m:])
-        else:
-            x = lognormal(rng, -4.0, 1.0, (n, p))
-            sd = _by_p(p, [(100, 2.9), (400, 2.3)], 2.0)
-            eps = lognormal(rng, -4.0, sd, (n, p))
-            first, second = np.log(x[:m]), np.exp(0.7 * x[m:])
-        y = np.concatenate([first, second]) + eps
+        x = draw(rng, (n, p))
+        eps = draw(rng, (n, p), _by_p(p, noise_breaks, noise_top))
+        y = np.concatenate([np.log(np.abs(x[:m])), np.exp(rate * x[m:])]) + eps
         return x, y
-
     return gen
 
 
-def _gen_s4(variant):
+def _s4(draw, noise_scale: float):
+    """X = L sin(Theta) + e_x, Y = L cos(Theta) + e_y: a noise value per row."""
     def gen(rng, n, p):
-        if variant == 1:
-            draw = _BASE_DRAWS["normal"]
-            noise_x = 8.0 * rng.standard_normal(n)
-            noise_y = 8.0 * rng.standard_normal(n)
-        elif variant == 2:
-            draw = _BASE_DRAWS["t10"]
-            noise_x = 10.0 * t10(rng, n)
-            noise_y = 10.0 * t10(rng, n)
-        else:
-            draw = _BASE_DRAWS["lognormal"]
-            noise_x = lognormal(rng, 0.0, 25.0, n)
-            noise_y = lognormal(rng, 0.0, 25.0, n)
+        noise_x = draw(rng, n, noise_scale)
+        noise_y = draw(rng, n, noise_scale)
         L = draw(rng, (n, p))
         x = np.empty((n, p))
         y = np.empty((n, p))
@@ -191,40 +152,46 @@ def _gen_s4(variant):
             x[i] = L[i] @ np.sin(theta)
             y[i] = L[i] @ np.cos(theta)
         return x + noise_x[:, None], y + noise_y[:, None]
-
     return gen
 
 
-def _gen_s5(variant):
-    draw = _BASE_DRAWS[["normal", "t10", "lognormal"][variant - 1]]
-
-    def gen(rng, n, p):
-        return draw(rng, (n, p)), draw(rng, (n, p))
-
-    return gen
+def _s5(draw):
+    return lambda rng, n, p: (draw(rng, (n, p)), draw(rng, (n, p)))
 
 
-_GENERATORS: dict[str, Callable] = {
-    "motivating": _gen_motivating,
-    "tune_i": _gen_tune("tune_i"),
-    "tune_ii": _gen_tune("tune_ii"),
-    "tune_iii": _gen_tune("tune_iii"),
+class _Setting(NamedTuple):
+    recipe: Callable  # (rng, n, p) -> (x, y)
+    dims: tuple[int, int] = (100, 100)  # default (n, p)
+    ns: tuple[int, ...] | None = None  # the only n it runs at, where it tabulates by n
+
+
+_SETTINGS = {
+    "motivating": _Setting(_motivating, (150, 50)),
+    "tune_i": _Setting(_tune(_normal, 1.6, (0.0, 2.2, 3.2)), (50, 100), _TUNE_N),
+    "tune_ii": _Setting(_tune(_t10, 1.8, (0.0, 1.9, 2.9)), (50, 100), _TUNE_N),
+    "tune_iii": _Setting(_tune(_lognormal(0.0), 0.05, (0.0, 0.45, 0.6)), (50, 100), _TUNE_N),
+    "s1_1": _Setting(_s1(_normal, _normal, 1.5)),
+    "s1_2": _Setting(_s1(_t10, _t10, 1.5)),
+    "s1_3": _Setting(_s1(_lognormal(-2.0), _lognormal(-0.5), 1.0)),
+    "s2_1": _Setting(_s2(_normal, [(100, 0.6)], 1.0)),
+    "s2_2": _Setting(_s2(_t10, [(100, 0.4)], 1.0)),
+    "s2_3": _Setting(_s2_3),
+    "s3_1": _Setting(_s3(_normal, 0.6, [], 1.2)),
+    "s3_2": _Setting(_s3(_t10, 0.5, [], 1.0)),
+    "s3_3": _Setting(_s3(_lognormal(-4.0), 0.7, [(100, 2.9), (400, 2.3)], 2.0)),
+    "s4_1": _Setting(_s4(_normal, 8.0)),
+    "s4_2": _Setting(_s4(_t10, 10.0)),
+    "s4_3": _Setting(_s4(_lognormal(0.0), 25.0)),
+    "s5_1": _Setting(_s5(_normal)),
+    "s5_2": _Setting(_s5(_t10)),
+    "s5_3": _Setting(_s5(_lognormal(0.0))),
 }
-for _v in (1, 2, 3):
-    _GENERATORS[f"s1_{_v}"] = _gen_s1(_v)
-    _GENERATORS[f"s2_{_v}"] = _gen_s2(_v)
-    _GENERATORS[f"s3_{_v}"] = _gen_s3(_v)
-    _GENERATORS[f"s4_{_v}"] = _gen_s4(_v)
-    _GENERATORS[f"s5_{_v}"] = _gen_s5(_v)
 
-SETTING_IDS = tuple(sorted(_GENERATORS))
-
-_DEFAULT_DIMS = {"motivating": (150, 50), "tune_i": (50, 100),
-                 "tune_ii": (50, 100), "tune_iii": (50, 100)}
+SETTING_IDS = tuple(sorted(_SETTINGS))
 
 
 def default_dimensions(setting_id: str) -> tuple[int, int]:
-    return _DEFAULT_DIMS.get(setting_id, (100, 100))
+    return _SETTINGS[setting_id].dims
 
 
 @dataclass(frozen=True)
@@ -238,15 +205,17 @@ class SettingSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.id not in _GENERATORS:
+        if self.id not in _SETTINGS:
             raise ValueError(f"unknown setting {self.id!r}; valid ids: {', '.join(SETTING_IDS)}")
-        if self.n < 4 or self.p < 1:
-            raise ValueError(f"need n >= 4 and p >= 1, got n={self.n}, p={self.p}")
-        if self.id in _TUNE_PARAMS:
-            b_table = _TUNE_PARAMS[self.id][2]
-            if self.n not in b_table:
-                raise ValueError(f"{self.id} has no tabulated noise level for n={self.n}; "
-                                 f"known n: {sorted(b_table)}")
+        if not (_is_count(self.n) and _is_count(self.p)) or self.n < 4 or self.p < 1:
+            raise ValueError(f"need n >= 4 and p >= 1, both integers, "
+                             f"got n={self.n!r}, p={self.p!r}")
+        object.__setattr__(self, "n", int(self.n))
+        object.__setattr__(self, "p", int(self.p))
+        ns = _SETTINGS[self.id].ns
+        if ns is not None and self.n not in ns:
+            raise ValueError(f"{self.id} has no tabulated noise level for n={self.n}; "
+                             f"known n: {list(ns)}")
 
 
 @dataclass(frozen=True)
@@ -267,7 +236,7 @@ class PowerEstimate:
 def generate(spec: SettingSpec) -> PairedSample:
     """Draw one paired sample per the setting's recipe, fixed by spec.seed."""
     rng = np.random.Generator(np.random.PCG64(spec.seed))
-    x, y = _GENERATORS[spec.id](rng, spec.n, spec.p)
+    x, y = _SETTINGS[spec.id].recipe(rng, spec.n, spec.p)
     return PairedSample(np.asarray(x, dtype=np.float64), np.asarray(y, dtype=np.float64))
 
 

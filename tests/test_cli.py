@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from gitest import cli
 from gitest import simulate as sim
 from gitest.inference import run_test
-from gitest.scores import ScoreConfig
+from gitest.scores import FAMILIES, ScoreConfig
 
 
 def write_csv(path, arr, header=None, delimiter=","):
@@ -581,6 +581,21 @@ def test_coincident_rows_exit_2(n, p, pair, constant_x, command, value, seed, tm
     assert out == ""
     err = err.splitlines()
     assert len(err) == 1 and err[0].startswith("gitest: error: ")
+
+
+@pytest.mark.parametrize("graph", FAMILIES)
+@given(n=st.integers(4, 12), p=st.integers(1, 3), value=st.floats(-1e6, 1e6, allow_nan=False))
+@settings(max_examples=15, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_coincident_rows_exit_2_under_graph(graph, n, p, value, tmp_path, capsys):
+    # `graph` refuses a constant sample as `test` and `diagnose` do, rather
+    # than print an edge list that row order alone decides
+    px = write_csv(tmp_path / "x.csv", np.full((n, p), value))
+    assert cli.main(["graph", "--x", px, "--graph", graph, "--k", "1"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines() == ["gitest: error: all pairwise distances are zero: "
+                                "the sample is constant"]
 
 
 class TestCliSizeSmoke:

@@ -61,6 +61,15 @@ class TestScoreConfig:
         with pytest.raises(ValueError):
             ScoreConfig(k="sqrt")
 
+    def test_bool_k_is_refused(self):
+        # a bool is an int to Python, but no neighbor count
+        with pytest.raises(ValueError, match="positive integer, got True"):
+            ScoreConfig(k=True)
+
+    def test_numpy_integer_k_is_an_int(self):
+        cfg = ScoreConfig(k=np.int64(5))
+        assert cfg == ScoreConfig(k=5) and type(cfg.k) is int
+
     def test_unknown_scheme(self):
         with pytest.raises(ValueError, match="unknown scheme 'ranks'"):
             ScoreConfig(scheme="ranks")

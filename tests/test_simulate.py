@@ -1,5 +1,8 @@
 import hashlib
 import math
+import pathlib
+import re
+from fnmatch import fnmatch
 
 import numpy as np
 import pytest
@@ -72,6 +75,23 @@ class TestSettingSpec:
             SettingSpec(id="s5_1", n=3, p=2)
         assert generate(SettingSpec(id="s5_1", n=4, p=2)).x.shape == (4, 2)
 
+    def test_refuses_a_non_integral_n(self):
+        with pytest.raises(ValueError, match="both integers, got n=10.0, p=3"):
+            SettingSpec("s5_1", 10.0, 3)
+
+    def test_refuses_a_non_integral_p(self):
+        with pytest.raises(ValueError, match="both integers, got n=10, p=3.0"):
+            SettingSpec("s5_1", 10, 3.0)
+
+    def test_refuses_a_bool_p(self):
+        with pytest.raises(ValueError, match="both integers, got n=10, p=True"):
+            SettingSpec("s5_1", 10, True)
+
+    def test_numpy_integer_dimensions_are_ints(self):
+        spec = SettingSpec("s5_1", np.int64(10), np.int32(3))
+        assert spec == SettingSpec("s5_1", 10, 3)
+        assert type(spec.n) is int and type(spec.p) is int
+
 
 #: sha256 over generate's x and y bytes for (n, p) in (50, 3), (100, 20),
 #: (150, 100) and seeds 0 and 7, recorded while each recipe still took
@@ -139,6 +159,25 @@ def test_noise_steps_at_large_p(sid):
             digest.update(sample.x.tobytes())
             digest.update(sample.y.tobytes())
     assert digest.hexdigest() == STEP_DIGESTS[sid]
+
+
+def test_readme_states_every_setting_and_its_default_size():
+    # a settings row added without its README line fails the ordinary suite
+    readme = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Simulation settings\n")[1].split("\n## ")[0]
+    named = []
+    for head in re.findall(r"^- (.*?) —", section, re.M):
+        for ref in re.findall(r"`([^`]+)`", head):
+            m = re.fullmatch(r"(\w+)_(\d)\.\.\1_(\d)", ref)  # sK_1..sK_3
+            named += [f"{m[1]}_{v}" for v in range(int(m[2]), int(m[3]) + 1)] if m else [ref]
+    assert sorted(named) == sorted(SETTING_IDS)
+    # "(150 × 50 for `motivating`, ..., 100 × 100 otherwise)": the first rule that matches
+    sizes = re.search(r"each setting's own default\s*\((.*?)\)\.", readme, re.S).group(1)
+    rules = re.findall(r"(\d+) × (\d+) (?:for `([^`]+)`|otherwise)", sizes)
+    for sid in SETTING_IDS:
+        n, p = next((int(n), int(p)) for n, p, pattern in rules
+                    if not pattern or fnmatch(sid, pattern))
+        assert (n, p) == default_dimensions(sid), sid
 
 
 class TestGenerate:
