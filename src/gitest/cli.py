@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 import numpy as np
@@ -103,19 +102,10 @@ def _score_config(args) -> ScoreConfig:
     return ScoreConfig(scheme=args.scheme, graph_family=args.graph, k=args.k, lam=args.lam)
 
 
-def _threads(args) -> int:
-    if args.threads is not None:
-        return args.threads
-    env = os.environ.get("GITEST_THREADS", "")
-    if env.strip():
-        try:
-            threads = int(env)
-        except ValueError:
-            raise GitestError(f"GITEST_THREADS is not an integer: {env!r}") from None
-        if threads < 1:
-            raise GitestError(f"GITEST_THREADS must be at least 1, got {env!r}")
-        return threads
-    return os.cpu_count() or 1
+def _given(args, *names) -> dict:
+    """The flags among ``names`` that were given, as keywords: an absent one
+    takes the library's default."""
+    return {name: getattr(args, name) for name in names if getattr(args, name) is not None}
 
 
 def _result_table(d: dict) -> str:
@@ -145,23 +135,16 @@ def _result_csv(d: dict) -> str:
 
 
 def _load_pair(args) -> tuple[np.ndarray, np.ndarray]:
-    x = read_matrix_csv(args.x, header=args.header, delimiter=args.delimiter)
-    y = read_matrix_csv(args.y, header=args.header, delimiter=args.delimiter)
-    if x.shape[0] != y.shape[0]:
-        raise GitestError(
-            f"paired samples must align: {args.x} has {x.shape[0]} rows, "
-            f"{args.y} has {y.shape[0]} rows"
-        )
-    return x, y
+    return tuple(read_matrix_csv(path, header=args.header, delimiter=args.delimiter)
+                 for path in (args.x, args.y))
 
 
 def cmd_test(args) -> int:
     x, y = _load_pair(args)
-    if args.n_perm is not None and args.method == "analytic":
+    if args.n_perm is not None and args.method in (None, "analytic"):
         raise ValueError("--n-perm requires --method permutation or both")
-    n_perm = {} if args.n_perm is None else {"n_perm": args.n_perm}  # else run_test's default
-    result = run_test(x, y, _score_config(args), method=args.method, seed=args.seed,
-                      threads=_threads(args), **n_perm)
+    result = run_test(x, y, _score_config(args),
+                      **_given(args, "method", "n_perm", "seed", "threads"))
     d = result.to_json_dict()
     if args.format == "json":
         print(json.dumps(d, indent=2))
@@ -184,7 +167,7 @@ def cmd_simulate(args) -> int:
     if args.sweep_alphas and untuned:
         raise ValueError(f"--sweep-alphas needs tune_* settings, got {', '.join(untuned)}")
     # every cell is built before the first replication, so a bad one fails first
-    specs = [sim.SettingSpec(setting, n, p, seed=args.seed)
+    specs = [sim.SettingSpec(setting, n, p, **_given(args, "seed"))
              for setting in args.setting
              for n in args.n or [sim.default_dimensions(setting)[0]]
              for p in args.p or [sim.default_dimensions(setting)[1]]]
@@ -193,8 +176,8 @@ def cmd_simulate(args) -> int:
     if args.sweep_alphas:
         cells = [(spec, ScoreConfig(k=int(spec.n ** a)), f"alpha={a:g}")
                  for spec in specs for a in args.sweep_alphas]
-    estimates = [sim.estimate_power(spec, cfg=cfg, method=args.method, reps=args.reps,
-                                    level=args.level) for spec, cfg, _ in cells]
+    estimates = [sim.estimate_power(spec, cfg=cfg, **_given(args, "method", "reps", "level"))
+                 for spec, cfg, _ in cells]
     if long_format:
         columns = sim.TIDY_COLUMNS
         rows = [sim.tidy_row(e, name, power, param)
@@ -237,12 +220,11 @@ def build_parser() -> _Parser:
     p_test.add_argument("--y", required=True, help="CSV of Y observations (rows)")
     _add_score_flags(p_test)
     _add_io_flags(p_test)
-    p_test.add_argument("--method", choices=("analytic", "permutation", "both"),
-                        default="analytic")
-    p_test.add_argument("--n-perm", type=int, default=None)
-    p_test.add_argument("--seed", type=int, default=0)
+    p_test.add_argument("--method", choices=("analytic", "permutation", "both"))
+    p_test.add_argument("--n-perm", type=int)
+    p_test.add_argument("--seed", type=int)
     p_test.add_argument("--format", choices=("json", "table", "csv"), default="json")
-    p_test.add_argument("--threads", type=int, default=None)
+    p_test.add_argument("--threads", type=int)
     p_test.set_defaults(func=cmd_test)
 
     p_sim = sub.add_parser("simulate", help="Monte Carlo power / size over a grid",
@@ -252,10 +234,10 @@ def build_parser() -> _Parser:
                        metavar="SETTING", help=f"one or more of: {', '.join(sim.SETTING_IDS)}")
     p_sim.add_argument("--n", type=int, nargs="+", help="sample sizes (default: per setting)")
     p_sim.add_argument("--p", type=int, nargs="+", help="dimensions (default: per setting)")
-    p_sim.add_argument("--reps", type=int, default=200)
-    p_sim.add_argument("--level", type=float, default=0.05)
-    p_sim.add_argument("--method", choices=("analytic", "permutation"), default="analytic")
-    p_sim.add_argument("--seed", type=int, default=0)
+    p_sim.add_argument("--reps", type=int)
+    p_sim.add_argument("--level", type=float)
+    p_sim.add_argument("--method", choices=("analytic", "permutation"))
+    p_sim.add_argument("--seed", type=int)
     p_sim.add_argument("--format", choices=("json", "csv"), default="csv")
     p_sim.add_argument("--sweep-alphas", type=alphas, default=[],
                        help="comma-separated exponents in (0, 1); one cell per exponent, "

@@ -9,6 +9,7 @@ always broken toward the smaller index.
 from __future__ import annotations
 
 import logging
+import numbers
 from dataclasses import dataclass
 from itertools import chain, repeat
 
@@ -209,6 +210,16 @@ def _competition_ranks(key: np.ndarray) -> np.ndarray:
     return out
 
 
+def _is_count(v) -> bool:
+    """Whether ``v`` is an integer, numpy's included; a bool is not one."""
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
+
+
+def _check_count(name: str, v) -> None:
+    if not _is_count(v):
+        raise ValueError(f"{name} must be an integer, got {v!r}")
+
+
 def knn_graph(D, k: int, direction: str = NEAREST) -> Digraph:
     """Connect each node to its k nearest (or farthest) peers.
 
@@ -218,6 +229,7 @@ def knn_graph(D, k: int, direction: str = NEAREST) -> Digraph:
     """
     D = check_distance_matrix(D)
     n = D.shape[0]
+    _check_count("k", k)
     if not 1 <= k <= n - 1:
         raise ValueError(f"k={k} out of range [1, {n - 1}]")
     return Digraph(n, k, _rank_rows(D, direction, k)[0])
@@ -250,6 +262,7 @@ def kmst(D, k: int, direction: str = NEAREST) -> list[UndirectedGraph]:
     D = check_distance_matrix(D)
     n = D.shape[0]
     _check_direction(direction)
+    _check_count("k", k)
     if not 1 <= k <= n // 2:
         raise ValueError(f"k={k} out of range [1, {n // 2}] for n={n}")
     # (i, j) in lexicographic order: a stable sort by weight keeps it among ties
@@ -369,6 +382,7 @@ def robust_graph(D, k: int, lam: float, direction: str = NEAREST,
     relabels the result without changing which local optimum is found.
     """
     _check_lam(lam)
+    _check_count("max_sweeps", max_sweeps)
     if max_sweeps < 1:
         raise ValueError("max_sweeps must be positive")
     init = knn_graph(D, k, direction)  # validates D

@@ -18,11 +18,14 @@ import numpy as np
 from scipy.special import gammaincc
 
 from .errors import DegenerateDataError, StructuralError
+from .graphs import _check_count
 from .moments import NullMoments, QuadrupleInputs, _cross_sums, null_moments, t_stats
 from .rng import substream
 from .scores import ScoreConfig, build_scores
 
 COMPONENT_NAMES = ("RG1", "RG2", "RG3", "RG4")
+#: permutations per permutation p-value, unless the caller names a count
+N_PERM = 500
 
 
 @dataclass(frozen=True)
@@ -122,31 +125,47 @@ def permutation_test(q: QuadrupleInputs, n_perm: int, seed: int, threads: int = 
     relabeling.  Results do not depend on ``threads``.
     """
     _check_permutations(n_perm, threads)
+    seed = _check_seed(seed)
     return _permutation_p(q, git_test(q), n_perm, seed, threads)
 
 
 def _check_permutations(n_perm: int, threads: int) -> None:
+    _check_count("n_perm", n_perm)
     if n_perm < 1:
         raise ValueError("n_perm must be positive")
+    _check_count("threads", threads)
     if threads < 1:
         raise ValueError(f"threads must be at least 1, got {threads}")
 
 
+def _check_seed(seed: int) -> int:
+    """``seed`` as an ``int``; a ``ValueError`` unless it is a nonnegative
+    integer, the domain of ``rng.derive_seed``."""
+    _check_count("seed", seed)
+    if seed < 0:
+        raise ValueError(f"seed must be nonnegative, got {seed}")
+    return int(seed)
+
+
 def _permutation_p(q: QuadrupleInputs, observed: GitResult, n_perm: int, seed: int,
                    threads: int) -> float:
-    """``permutation_test`` past its checks, with ``observed = git_test(q)``."""
+    """``permutation_test`` past its checks, with ``observed = git_test(q)``:
+    each of min(threads, n_perm) pool workers counts one contiguous range of
+    the permutations, and the counts add exactly, whatever the split."""
     y_at = tuple(m.dense().ravel().take for m in (q.dy, q.sy))
 
-    def exceeds(b: int) -> int:
-        t = _cross_sums(q, substream(seed, b).permutation(q.n), y_at)
-        return int(_quadratic_form(t, observed.moments) >= observed.statistic)
+    def count(start: int, stop: int) -> int:
+        hits = 0
+        for b in range(start, stop):
+            t = _cross_sums(q, substream(seed, b).permutation(q.n), y_at)
+            hits += _quadratic_form(t, observed.moments) >= observed.statistic
+        return hits
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            count = sum(pool.map(exceeds, range(n_perm)))
-    else:
-        count = sum(exceeds(b) for b in range(n_perm))
-    return (1 + count) / (n_perm + 1)
+    workers = min(threads, n_perm)
+    cuts = [n_perm * w // workers for w in range(workers + 1)]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        total = sum(pool.map(count, cuts[:-1], cuts[1:]))
+    return (1 + total) / (n_perm + 1)
 
 
 def quadruple_from_samples(x, y, cfg: ScoreConfig = ScoreConfig()) -> QuadrupleInputs:
@@ -165,15 +184,17 @@ def quadruple_from_samples(x, y, cfg: ScoreConfig = ScoreConfig()) -> QuadrupleI
 
 
 def run_test(x, y, cfg: ScoreConfig = ScoreConfig(), method: str = "analytic",
-             n_perm: int = 500, seed: int = 0, threads: int = 1) -> GitResult:
+             n_perm: int = N_PERM, seed: int = 0, threads: int = 1) -> GitResult:
     """End-to-end test on raw paired samples.
 
     ``method`` picks which p-values to report: "analytic", "permutation", or
-    "both".  ``n_perm`` and ``threads`` are checked first, whatever the method.
+    "both".  ``n_perm``, ``seed`` and ``threads`` are checked first, whatever
+    the method.
     """
     if method not in ("analytic", "permutation", "both"):
         raise ValueError(f"unknown method {method!r}")
     _check_permutations(n_perm, threads)
+    seed = _check_seed(seed)
     q = quadruple_from_samples(x, y, cfg)
     result = git_test(q, cfg)
     if method in ("permutation", "both"):

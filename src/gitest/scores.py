@@ -10,7 +10,6 @@ side), k = floor(sqrt(n)), hub penalty 0.3.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,6 +23,7 @@ from .graphs import (
     _check_direction,
     _check_lam,
     _competition_ranks,
+    _is_count,
     check_distance_matrix,
     kmst,
     neighbor_rank_rows,
@@ -65,11 +65,6 @@ _PAIRS = (("knn", "kfp"), ("kmst", "kmaxst"), ("robust_knn", "robust_kfp"))
 
 def _pair(family: str) -> tuple[str, str]:
     return next(p for p in _PAIRS if family in p)
-
-
-def _is_count(v) -> bool:
-    """Whether ``v`` is an integer, numpy's included; a bool is not one."""
-    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
 
 
 @dataclass(frozen=True)

@@ -18,10 +18,11 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .inference import (COMPONENT_NAMES, _check_permutations, _permutation_p, git_test,
-                        quadruple_from_samples)
+from .graphs import _check_count, _is_count
+from .inference import (COMPONENT_NAMES, N_PERM, _check_permutations, _check_seed, _permutation_p,
+                        git_test, quadruple_from_samples)
 from .rng import derive_seed
-from .scores import ScoreConfig, _is_count
+from .scores import ScoreConfig
 
 
 class PairedSample(NamedTuple):
@@ -197,7 +198,8 @@ def default_dimensions(setting_id: str) -> tuple[int, int]:
 @dataclass(frozen=True)
 class SettingSpec:
     """One simulation scenario: recipe id, dimensions, seed.  n is at least
-    4, the fewest paired observations the test takes."""
+    4, the fewest paired observations the test takes; the seed is a
+    nonnegative integer."""
 
     id: str
     n: int
@@ -212,6 +214,7 @@ class SettingSpec:
                              f"got n={self.n!r}, p={self.p!r}")
         object.__setattr__(self, "n", int(self.n))
         object.__setattr__(self, "p", int(self.p))
+        object.__setattr__(self, "seed", _check_seed(self.seed))
         ns = _SETTINGS[self.id].ns
         if ns is not None and self.n not in ns:
             raise ValueError(f"{self.id} has no tabulated noise level for n={self.n}; "
@@ -250,7 +253,7 @@ def _replications(spec: SettingSpec, reps: int):
 
 def estimate_power(spec: SettingSpec, cfg: ScoreConfig = ScoreConfig(),
                    method: str = "analytic", reps: int = 200, level: float = 0.05,
-                   n_perm: int = 500) -> PowerEstimate:
+                   n_perm: int = N_PERM) -> PowerEstimate:
     """Fraction of replications rejecting at ``level`` (p < level), for the
     combined test and for each of its components RG1..RG4.
 
@@ -259,6 +262,7 @@ def estimate_power(spec: SettingSpec, cfg: ScoreConfig = ScoreConfig(),
     permutations from substream 1 of its rep_master.  The components'
     p-values are always analytic.
     """
+    _check_count("reps", reps)
     if reps < 1:
         raise ValueError("reps must be positive")
     if not 0 < level <= 1:
@@ -282,7 +286,7 @@ def estimate_power(spec: SettingSpec, cfg: ScoreConfig = ScoreConfig(),
             counts[comp.name] += comp.p < level
     runtime = time.perf_counter() - start
     return PowerEstimate(
-        setting=spec, replications=reps, level=level, rejections=rejections,
+        setting=spec, replications=int(reps), level=level, rejections=rejections,
         power=rejections / reps, runtime_seconds=runtime, method=method,
         components={name: c / reps for name, c in counts.items()},
     )

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from scipy.special import gammainc
 
+from gitest import inference
 from gitest.graphs import Digraph, robust_objective
 from gitest.matrixcore import ScoreMatrix
 from gitest.moments import QuadrupleInputs, _cross_sums, _spectral_rank
@@ -41,6 +42,20 @@ def random_symmetric_scores(rng, n, low=-3, high=3):
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)
+
+
+@pytest.fixture
+def pools(monkeypatch):
+    """The worker counts of the thread pools that ``inference`` opens, in order."""
+    asked = []
+
+    class Spy(inference.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(inference, "ThreadPoolExecutor", Spy)
+    return asked
 
 
 def make_quadruple(rng, n, low=-3, high=3):

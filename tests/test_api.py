@@ -1,7 +1,8 @@
 """The package surface: the names ``gitest`` exports, no module in the
 package, ``scripts/`` or ``tests/`` importing a name it never uses, no
-library function or class that only tests read, and score-flag defaults
-that ``gitest`` takes from ``ScoreConfig``."""
+library function or class that only tests read, score-flag defaults
+that ``gitest`` takes from ``ScoreConfig``, and run flags that forward only
+a value the user gave."""
 
 import ast
 import pathlib
@@ -114,14 +115,39 @@ def test_score_flags_default_to_score_config(argv):
                                           for d in dests}
 
 
-def test_score_flags_state_no_literal_default():
-    """A default written as a literal would restate ``ScoreConfig``'s."""
-    flags, literal = set(), []
+def flag_defaults(flags: set[str]) -> list[tuple[str, ast.expr | None]]:
+    """(flag, its ``default=`` expression or None) for each ``add_argument``
+    of one of ``flags`` in ``cli.py``."""
+    found = []
     for node in ast.walk(ast.parse((ROOT / "src/gitest/cli.py").read_text(encoding="utf-8"))):
         if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
                 and node.func.attr == "add_argument" and node.args
-                and isinstance(node.args[0], ast.Constant) and node.args[0].value in SCORE_FLAGS):
-            flags.add(node.args[0].value)
-            literal += [node.args[0].value for kw in node.keywords
-                        if kw.arg == "default" and isinstance(kw.value, ast.Constant)]
-    assert flags == SCORE_FLAGS and literal == []
+                and isinstance(node.args[0], ast.Constant) and node.args[0].value in flags):
+            found.append((node.args[0].value, next(
+                (kw.value for kw in node.keywords if kw.arg == "default"), None)))
+    return found
+
+
+def test_score_flags_state_no_literal_default():
+    """A default written as a literal would restate ``ScoreConfig``'s."""
+    found = flag_defaults(SCORE_FLAGS)
+    assert {flag for flag, _ in found} == SCORE_FLAGS
+    assert [flag for flag, default in found if isinstance(default, ast.Constant)] == []
+
+
+#: subcommand -> its run flags, each feeding a library argument that states its default
+RUN_DESTS = {"test": ("method", "n_perm", "seed", "threads"),
+             "simulate": ("method", "reps", "level", "seed")}
+RUN_FLAGS = {"--method", "--n-perm", "--seed", "--threads", "--reps", "--level"}
+
+
+@pytest.mark.parametrize("argv", [["test", "--x", "x", "--y", "y"],
+                                  ["simulate", "--setting", "s5_1"]], ids=lambda argv: argv[0])
+def test_run_flags_state_no_default(argv):
+    """A run flag parses to None when absent, so ``gitest`` leaves the value
+    to its library argument's default."""
+    found = flag_defaults(RUN_FLAGS)
+    assert {flag for flag, _ in found} == RUN_FLAGS
+    assert [flag for flag, default in found if default is not None] == []
+    args = vars(cli.build_parser().parse_args(argv))
+    assert {d: args[d] for d in RUN_DESTS[argv[0]]} == dict.fromkeys(RUN_DESTS[argv[0]])

@@ -51,10 +51,11 @@ class TestCmdTest:
     def test_mismatched_rows_exit_2(self, tmp_path, rng, capsys):
         px = write_csv(tmp_path / "x.csv", rng.standard_normal((10, 3)))
         py = write_csv(tmp_path / "y.csv", rng.standard_normal((12, 3)))
-        assert cli.main(["test", "--x", px, "--y", py]) == 2
-        err = capsys.readouterr().err
-        assert "paired samples must align" in err
-        assert "10" in err and "12" in err
+        for subcommand in ("test", "diagnose"):
+            assert cli.main([subcommand, "--x", px, "--y", py]) == 2
+            err = capsys.readouterr().err
+            assert "paired samples must align" in err
+            assert "10" in err and "12" in err
 
     def test_non_numeric_cell_reported(self, tmp_path, rng, capsys):
         px = write_csv(tmp_path / "x.csv", rng.standard_normal((6, 2)))
@@ -83,6 +84,33 @@ class TestCmdTest:
         assert cli.main(["test", "--x", px, "--y", py, "--method", "permutation"]) == 0
         p = json.loads(capsys.readouterr().out)["p_permutation"]
         assert p < 1 and abs(p * 10 - round(p * 10)) < 1e-9  # (1 + count) / (9 + 1)
+
+    def test_threads_default_is_run_tests(self, gaussian_pair, monkeypatch, pools):
+        cfg, method, n_perm, seed, _ = run_test.__defaults__
+        monkeypatch.setattr(run_test, "__defaults__", (cfg, method, n_perm, seed, 5))
+        px, py, _, _ = gaussian_pair
+        assert cli.main(["test", "--x", px, "--y", py, "--method", "permutation",
+                        "--n-perm", "9"]) == 0
+        assert pools == [5]
+
+    def test_seed_default_is_run_tests(self, gaussian_pair, capsys, monkeypatch):
+        cfg, method, n_perm, _, threads = run_test.__defaults__
+        px, py, x, y = gaussian_pair
+        p = {seed: run_test(x, y, method="permutation", n_perm=99, seed=seed).p_permutation
+             for seed in (0, 11)}
+        assert p[0] != p[11]
+        monkeypatch.setattr(run_test, "__defaults__", (cfg, method, n_perm, 11, threads))
+        assert cli.main(["test", "--x", px, "--y", py, "--method", "permutation",
+                        "--n-perm", "99"]) == 0
+        assert json.loads(capsys.readouterr().out)["p_permutation"] == p[11]
+
+    def test_method_default_is_run_tests(self, gaussian_pair, capsys, monkeypatch):
+        cfg, _, _, seed, threads = run_test.__defaults__
+        monkeypatch.setattr(run_test, "__defaults__", (cfg, "permutation", 19, seed, threads))
+        px, py, _, _ = gaussian_pair
+        assert cli.main(["test", "--x", px, "--y", py]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["p_analytic"] is None and out["p_permutation"] is not None
 
     def test_method_both_reports_both(self, gaussian_pair, capsys):
         px, py, _, _ = gaussian_pair
@@ -167,27 +195,15 @@ class TestCmdTest:
                             "--graph", "knn"]) == 2
         assert "null covariance is not finite" in capsys.readouterr().err
 
-    def test_threads_env_fallback(self, gaussian_pair, capsys, monkeypatch):
+    def test_threads_env_is_ignored(self, gaussian_pair, capsys, monkeypatch):
+        # --threads is the one way to set the thread count
         px, py, _, _ = gaussian_pair
-        monkeypatch.setenv("GITEST_THREADS", "2")
-        assert cli.main(["test", "--x", px, "--y", py, "--method", "permutation",
-                        "--n-perm", "29", "--seed", "1"]) == 0
-        with_env = json.loads(capsys.readouterr().out)["p_permutation"]
-        monkeypatch.delenv("GITEST_THREADS")
-        assert cli.main(["test", "--x", px, "--y", py, "--method", "permutation",
-                        "--n-perm", "29", "--seed", "1", "--threads", "3"]) == 0
-        with_flag = json.loads(capsys.readouterr().out)["p_permutation"]
-        assert with_env == with_flag
-
-    @pytest.mark.parametrize("env", ["abc", "0", "-3"])
-    def test_bad_threads_env_exit_2(self, gaussian_pair, capsys, monkeypatch, env):
-        px, py, _, _ = gaussian_pair
-        monkeypatch.setenv("GITEST_THREADS", env)
-        assert cli.main(["test", "--x", px, "--y", py, "--method", "both"]) == 2
-        out, err = capsys.readouterr()
-        assert out == ""
-        err = err.splitlines()
-        assert len(err) == 1 and err[0].startswith("gitest: error: GITEST_THREADS")
+        argv = ["test", "--x", px, "--y", py, "--method", "both", "--n-perm", "29"]
+        assert cli.main(argv) == 0
+        plain = capsys.readouterr()
+        monkeypatch.setenv("GITEST_THREADS", "abc")
+        assert cli.main(argv) == 0
+        assert capsys.readouterr() == plain
 
     @pytest.mark.parametrize("text, message", [
         ("1,2\n\n3,4,5\n", "x.csv: row 3 has 3 cells, expected 2"),
@@ -254,6 +270,21 @@ class TestCmdSimulate:
         monkeypatch.setenv("GITEST_THREADS", "abc")
         assert cli.main(argv) == 0
         assert capsys.readouterr() == plain
+
+    @pytest.mark.parametrize("default, flags, column", [
+        ("reps", [], 3), ("level", ["--reps", "2"], 0.5),
+        ("method", ["--reps", "2"], "permutation"),
+    ], ids=["reps", "level", "method"])
+    def test_run_defaults_are_estimate_powers(self, default, flags, column, capsys,
+                                              monkeypatch):
+        names = ("cfg", "method", "reps", "level", "n_perm")
+        defaults = dict(zip(names, sim.estimate_power.__defaults__), n_perm=19)
+        defaults[default] = column
+        monkeypatch.setattr(sim.estimate_power, "__defaults__", tuple(defaults.values()))
+        assert cli.main(["simulate", "--setting", "s5_1", "--n", "10", "--p", "2",
+                        "--format", "json"] + flags) == 0
+        [row] = json.loads(capsys.readouterr().out)
+        assert row[default] == column
 
     def test_zero_reps_usage_error(self, monkeypatch, capsys):
         draws = []
@@ -352,8 +383,8 @@ class TestCmdSimulate:
                          for p in ("3", "2")]
 
     def test_grid_dimensions_default_per_setting(self, monkeypatch, capsys):
-        def cell(spec, **kw):
-            return sim.PowerEstimate(spec, kw["reps"], kw["level"], 0, 0.0, 0.0)
+        def cell(spec, **kw):  # gitest passes level only when --level is given
+            return sim.PowerEstimate(spec, kw["reps"], kw.get("level"), 0, 0.0, 0.0)
 
         monkeypatch.setattr(sim, "estimate_power", cell)
         assert cli.main(["simulate", "--setting", "s5_1", "motivating", "tune_i",
@@ -496,6 +527,8 @@ class TestCmdGraph:
     ["test", "--threads", "0"],
     ["test", "--method", "permutation", "--threads", "0"],
     ["test", "--k", "abc"],
+    ["test", "--seed", "-1"],
+    ["simulate", "--setting", "s5_1", "--n", "10", "--p", "2", "--reps", "1", "--seed", "-1"],
 ])
 def test_invalid_flag_value_is_usage_error(argv, tmp_path, rng, capsys, monkeypatch):
     # samples of n=30 rows: --k 40 exceeds n - 1, and --k 20 exceeds the 15

@@ -282,6 +282,17 @@ class TestRobustGraph:
         with pytest.raises(ValueError, match="max_sweeps must be positive"):
             robust_graph(line_distances([0, 1, 3]), 1, 0.3, max_sweeps=0)
 
+    def test_rejects_non_integral_sweeps(self):
+        with pytest.raises(ValueError, match="max_sweeps must be an integer, got 2.5"):
+            robust_graph(line_distances([0, 1, 3]), 1, 0.3, max_sweeps=2.5)
+
+
+@pytest.mark.parametrize("build", [knn_graph, robust_graph, kmst], ids=lambda f: f.__name__)
+def test_builders_reject_a_non_integral_k(build):
+    args = (0.3,) if build is robust_graph else ()
+    with pytest.raises(ValueError, match="k must be an integer, got 1.0"):
+        build(line_distances([0, 1, 3, 7]), 1.0, *args)
+
 
 def _broken_distances(defect):
     D = line_distances([0, 1, 3, 7])

@@ -218,6 +218,41 @@ class TestPermutationTest:
         with pytest.raises(ValueError, match=f"threads must be at least 1, got {threads}"):
             permutation_test(make_quadruple(rng, 10), n_perm=19, seed=1, threads=threads)
 
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"n_perm": 10.5}, "n_perm must be an integer, got 10.5"),
+        ({"n_perm": True}, "n_perm must be an integer, got True"),
+        ({"threads": 1.5}, "threads must be an integer, got 1.5"),
+        ({"threads": True}, "threads must be an integer, got True"),
+        ({"seed": 1.5}, "seed must be an integer, got 1.5"),
+        ({"seed": -1}, "seed must be nonnegative, got -1"),
+    ], ids=["float-permutations", "bool-permutations", "float-threads", "bool-threads",
+            "float-seed", "negative-seed"])
+    def test_bad_counts_rejected(self, rng, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            permutation_test(make_quadruple(rng, 10), **{"n_perm": 19, "seed": 1, **kwargs})
+
+    def test_numpy_integer_counts_accepted(self, rng):
+        x = rng.standard_normal((20, 3))
+        y = x + rng.standard_normal((20, 3))
+        want = run_test(x, y, method="both", n_perm=19, seed=3, threads=2)
+        got = run_test(x, y, method="both", n_perm=np.int64(19), seed=np.int64(3),
+                       threads=np.int32(2))
+        assert got.p_permutation == want.p_permutation
+
+    def test_every_split_gives_the_same_p_value(self, rng, pools):
+        # one loop for every thread count: a pool of min(threads, n_perm)
+        # workers, uneven ranges and more threads than permutations included
+        q = make_quadruple(rng, 12)
+        grid = [(n_perm, threads) for n_perm in (1, 5, 19) for threads in (1, 2, 3, 7)]
+        p = {(n_perm, threads): permutation_test(q, n_perm=n_perm, seed=4, threads=threads)
+             for n_perm, threads in grid}
+        assert all(p[n_perm, threads] == p[n_perm, 1] for n_perm, threads in grid)
+        assert pools == [min(n_perm, threads) for n_perm, threads in grid]
+
+    def test_no_more_workers_than_permutations(self, rng, pools):
+        permutation_test(make_quadruple(rng, 10), n_perm=3, seed=0, threads=64)
+        assert pools == [3]
+
     def test_strong_dependence_hits_floor(self, rng):
         x = rng.standard_normal((50, 20))
         q = quadruple_from_samples(x, x.copy())
@@ -306,8 +341,16 @@ class TestRunTest:
         ({"method": "permutation", "threads": 0}, "threads must be at least 1, got 0"),
         ({"method": "both", "threads": 0}, "threads must be at least 1, got 0"),
         ({"method": "bogus"}, "unknown method 'bogus'"),
+        ({"method": "both", "n_perm": 10.5}, "n_perm must be an integer, got 10.5"),
+        ({"method": "permutation", "n_perm": True}, "n_perm must be an integer, got True"),
+        ({"method": "both", "threads": 1.5}, "threads must be an integer, got 1.5"),
+        ({"method": "both", "threads": True}, "threads must be an integer, got True"),
+        ({"method": "both", "seed": 1.5}, "seed must be an integer, got 1.5"),
+        ({"method": "analytic", "seed": -1}, "seed must be nonnegative, got -1"),
     ], ids=["zero-permutations", "negative-permutations", "zero-threads-analytic",
-            "zero-threads-permutation", "zero-threads-both", "unknown-method"])
+            "zero-threads-permutation", "zero-threads-both", "unknown-method",
+            "float-permutations", "bool-permutations", "float-threads", "bool-threads",
+            "float-seed", "negative-seed"])
     def test_bad_arguments_refused_before_scoring(self, rng, monkeypatch, kwargs, message):
         calls = []
         monkeypatch.setattr(inference, "build_scores", lambda *a: calls.append(a))

@@ -87,6 +87,19 @@ class TestSettingSpec:
         with pytest.raises(ValueError, match="both integers, got n=10, p=True"):
             SettingSpec("s5_1", 10, True)
 
+    @pytest.mark.parametrize("seed, message", [
+        (-1, "seed must be nonnegative, got -1"),
+        (1.5, "seed must be an integer, got 1.5"),
+        (True, "seed must be an integer, got True"),
+    ], ids=["negative", "float", "bool"])
+    def test_refuses_a_bad_seed(self, seed, message):
+        with pytest.raises(ValueError, match=message):
+            SettingSpec("s5_1", 10, 3, seed=seed)
+
+    def test_numpy_integer_seed_is_an_int(self):
+        spec = SettingSpec("s5_1", 10, 3, seed=np.uint64(7))
+        assert spec == SettingSpec("s5_1", 10, 3, seed=7) and type(spec.seed) is int
+
     def test_numpy_integer_dimensions_are_ints(self):
         spec = SettingSpec("s5_1", np.int64(10), np.int32(3))
         assert spec == SettingSpec("s5_1", 10, 3)
@@ -289,6 +302,19 @@ class TestEstimatePower:
             estimate_power(spec, reps=0)
         with pytest.raises(ValueError):
             estimate_power(spec, reps=5, level=0.0)
+
+    @pytest.mark.parametrize("reps", [2.5, True], ids=["float", "bool"])
+    def test_non_integral_reps_rejected_before_sampling(self, reps, monkeypatch):
+        draws = []
+        monkeypatch.setattr(simulate, "generate", lambda spec: draws.append(spec))
+        with pytest.raises(ValueError, match=f"reps must be an integer, got {reps}"):
+            estimate_power(SettingSpec(id="s5_1", n=12, p=3, seed=1), reps=reps)
+        assert draws == []
+
+    def test_numpy_integer_reps_is_an_int(self):
+        # a numpy count would reach power_json, which json cannot encode
+        est = estimate_power(SettingSpec("s5_1", 10, 2), reps=np.int64(2))
+        assert type(est.replications) is int
 
     def test_zero_n_perm_rejected_before_sampling(self, monkeypatch):
         draws = []
